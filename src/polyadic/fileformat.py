@@ -7,8 +7,9 @@ Schema::
      "group": {...}, "phi": [...], "b": int,   # hg: nested binary group file
      "labels": ["..."]}               # optional, m strings
 
-Numbers are element indices; parsing errors raise :class:`ParseError` so the
-CLI can map them to its usage exit code.
+Numbers are element indices; JSON ``true``/``false`` are not numbers here.
+Parsing errors raise :class:`ParseError` so the CLI can map them to its usage
+exit code.
 """
 
 from __future__ import annotations
@@ -28,13 +29,18 @@ def _require(cond: bool, message: str) -> None:
         raise ParseError(message)
 
 
+def _are_indices(values, m: int) -> bool:
+    # ``type(v) is int``, not ``isinstance``: JSON true/false parse to bool, an int subclass
+    return all(type(v) is int and 0 <= v < m for v in values)
+
+
 def group_from_dict(doc: dict) -> NaryGroup | BinaryGroup:
     """Parse a group document; structural validation only, no axiom checks
     beyond what construction itself enforces (binary groups verify eagerly)."""
     _require(isinstance(doc, dict), "group document must be an object")
     kind = doc.get("kind")
     _require(kind in ("dense", "hg", "binary"), f"unknown kind {kind!r}")
-    _require(isinstance(doc.get("order"), int) and doc["order"] >= 1, "order must be a positive integer")
+    _require(type(doc.get("order")) is int and doc["order"] >= 1, "order must be a positive integer")
     m = doc["order"]
     labels = doc.get("labels")
     if labels is not None:
@@ -47,17 +53,17 @@ def group_from_dict(doc: dict) -> NaryGroup | BinaryGroup:
         _require(doc.get("arity", 2) == 2, "binary groups have arity 2")
         table = doc.get("table")
         _require(isinstance(table, list) and len(table) == m * m, f"binary table needs {m * m} entries")
-        _require(all(isinstance(v, int) and 0 <= v < m for v in table), "table entries must be element indices")
+        _require(_are_indices(table, m), "table entries must be element indices")
         report = verify_binary_table(np.array(table).reshape(m, m))
         if not report.passed:
             raise InvalidGroupError(f"not a group: {report.first().axiom}")
         return BinaryGroup(np.array(table).reshape(m, m))
     arity = doc.get("arity")
-    _require(isinstance(arity, int) and arity >= 3, "arity must be an integer >= 3")
+    _require(type(arity) is int and arity >= 3, "arity must be an integer >= 3")
     if kind == "dense":
         table = doc.get("table")
         _require(isinstance(table, list) and len(table) == m ** arity, f"dense table needs {m ** arity} entries")
-        _require(all(isinstance(v, int) and 0 <= v < m for v in table), "table entries must be element indices")
+        _require(_are_indices(table, m), "table entries must be element indices")
         return NaryGroup(arity, m, table=np.array(table, dtype=np.int64), labels=labels)
     inner = doc.get("group")
     _require(isinstance(inner, dict) and inner.get("kind") == "binary", "hg documents embed a binary group")
@@ -65,9 +71,9 @@ def group_from_dict(doc: dict) -> NaryGroup | BinaryGroup:
     _require(base.order == m, "embedded group order mismatch")
     phi = doc.get("phi")
     _require(isinstance(phi, list) and len(phi) == m, "phi must be a permutation list")
-    _require(all(isinstance(v, int) and 0 <= v < m for v in phi), "phi entries must be element indices")
+    _require(_are_indices(phi, m), "phi entries must be element indices")
     b = doc.get("b")
-    _require(isinstance(b, int) and 0 <= b < m, "b must be an element index")
+    _require(_are_indices([b], m), "b must be an element index")
     try:
         data = HGData(base, np.array(phi, dtype=np.int64), b, arity)
     except InvalidGroupError as exc:

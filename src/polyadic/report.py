@@ -2,14 +2,21 @@
 
 Every axiom checker returns a :class:`VerificationReport` instead of raising,
 so that mutated or otherwise broken tables are first-class inputs.  A report
-carries the first witness found for each violated axiom, scanning in
-lexicographic tuple order so results are deterministic regardless of how the
-scan is chunked across workers.
+says how it was reached (``method``):
 
-Exhaustive scans are capped by a tuple budget (default ``10**7``, overridable
-through the ``POLYAD_BUDGET`` environment variable or per call).  Above the
-budget a fixed-seed pseudo-random sample is checked instead and the report is
-flagged ``sampled``.
+- ``certificate``: an exact proof that the axioms hold, never sampled (the
+  Hosszú–Gluskin certificate of :func:`polyadic.core.verify_nary_group`);
+- ``scan``: an exhaustive scan of every tuple;
+- ``sampled-scan``: a fixed-seed pseudo-random sample, used when the tuple
+  count exceeds the budget (default ``10**7``, overridable through the
+  ``POLYAD_BUDGET`` environment variable or per call).  ``sampled`` is true
+  exactly for these reports.
+
+A scan carries the first witness found for each violated axiom, scanning in
+lexicographic tuple order so results are deterministic regardless of how the
+scan is chunked across workers.  ``checked`` counts the tuples (or cells) a
+report rests on; for a certificate it is the table cells compared with the
+rebuilt table plus the m^3 cells of the retract's group check.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import numpy as np
 DEFAULT_BUDGET = 10_000_000
 SAMPLE_SEED = 0xC0FFEE
 SAMPLE_COUNT = 100_000
+METHODS = ("certificate", "scan", "sampled-scan")
 
 
 def resolve_budget(budget: int | None) -> int:
@@ -46,25 +54,31 @@ class Failure(NamedTuple):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of an axiom check: passed flag plus witnessed failures."""
+    """Outcome of an axiom check: passed flag, witnessed failures, method."""
 
     passed: bool
     failures: tuple[Failure, ...] = ()
-    sampled: bool = False
+    method: str = "scan"
     checked: int = 0
 
     def __post_init__(self):
         if self.passed != (len(self.failures) == 0):
             raise ValueError("passed flag inconsistent with failure list")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
+
+    @property
+    def sampled(self) -> bool:
+        return self.method == "sampled-scan"
 
     @classmethod
     def ok(cls, checked: int = 0, sampled: bool = False) -> "VerificationReport":
-        return cls(True, (), sampled, checked)
+        return cls(True, (), _scan_method(sampled), checked)
 
     @classmethod
     def fail(cls, failures, checked: int = 0, sampled: bool = False) -> "VerificationReport":
         fails = tuple(Failure(str(a), tuple(int(x) for x in w)) for a, w in failures)
-        return cls(False, fails, sampled, checked)
+        return cls(False, fails, _scan_method(sampled), checked)
 
     def first(self) -> Failure | None:
         return self.failures[0] if self.failures else None
@@ -73,13 +87,14 @@ class VerificationReport:
         return VerificationReport(
             self.passed and other.passed,
             self.failures + other.failures,
-            self.sampled or other.sampled,
+            max(self.method, other.method, key=METHODS.index),
             self.checked + other.checked,
         )
 
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
+            "method": self.method,
             "sampled": self.sampled,
             "checked": int(self.checked),
             "failures": [
@@ -87,6 +102,10 @@ class VerificationReport:
                 for f in self.failures
             ],
         }
+
+
+def _scan_method(sampled: bool) -> str:
+    return "sampled-scan" if sampled else "scan"
 
 
 def merge_chunk_failures(chunks: list[dict[str, tuple[int, ...]]]) -> list[tuple[str, tuple[int, ...]]]:

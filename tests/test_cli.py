@@ -19,6 +19,16 @@ def files(tmp_path, t2, t2b, z4m, q4, s3t):
     return paths
 
 
+@pytest.fixture()
+def mutated_s3t(tmp_path, s3t):
+    """S3T with one changed cell: a failing file whose scan the budget governs."""
+    doc = group_to_dict(P.NaryGroup(3, 6, table=s3t.dense()))
+    doc["table"][0] = 1
+    path = tmp_path / "S3T-mutated.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -29,7 +39,8 @@ class TestExitCodes:
     def test_verify_pass(self, capsys, files):
         code, out = run(capsys, "verify", files["T2"])
         assert code == 0
-        assert json.loads(out)["passed"] is True
+        doc = json.loads(out)
+        assert doc["passed"] is True and doc["method"] == "certificate"
 
     def test_verify_mutation_exits_one_with_witness(self, capsys, tmp_path, t2):
         table = [int(v) for v in t2.dense().reshape(-1)]
@@ -47,6 +58,22 @@ class TestExitCodes:
         path.write_text('{"arity": 3, "order":')
         code, _ = run(capsys, "verify", str(path))
         assert code == 2
+
+    def test_boolean_indices_exit_two(self, capsys, tmp_path):
+        z2 = {"arity": 2, "order": 2, "kind": "binary", "table": [0, 1, 1, 0]}
+        docs = [
+            {"arity": 3, "order": 2, "kind": "dense", "table": [0, 1, 1, 0, 1, 0, 0, True]},
+            {"arity": 2, "order": 2, "kind": "binary", "table": [0, 1, True, 0]},
+            {"arity": 3, "order": 2, "kind": "hg", "group": z2, "phi": [False, 1], "b": 0},
+            {"arity": 3, "order": 2, "kind": "hg", "group": z2, "phi": [0, 1], "b": False},
+            {"arity": 3, "order": True, "kind": "dense", "table": [0]},
+            {"arity": True, "order": 2, "kind": "binary", "table": [0, 1, 1, 0]},
+        ]
+        for i, doc in enumerate(docs):
+            path = tmp_path / f"bool{i}.json"
+            path.write_text(json.dumps(doc))
+            code, _ = run(capsys, "verify", str(path))
+            assert code == 2, doc
 
     def test_schema_error_exits_two(self, capsys, tmp_path):
         path = tmp_path / "short.json"
@@ -147,17 +174,28 @@ class TestEmittedGroups:
 
 
 class TestBudgetEnv:
-    def test_env_budget_forces_sampling(self, capsys, files, monkeypatch):
+    # The budget governs only the scan for failure witnesses: a passing
+    # verdict is an exact certificate whatever the budget.
+    def test_env_budget_forces_sampling(self, capsys, mutated_s3t, monkeypatch):
+        monkeypatch.setenv("POLYAD_BUDGET", "10")
+        code, out = run(capsys, "verify", mutated_s3t)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["sampled"] is True and doc["method"] == "sampled-scan"
+
+    def test_flag_overrides_env(self, capsys, mutated_s3t, monkeypatch):
+        monkeypatch.setenv("POLYAD_BUDGET", "10")
+        code, out = run(capsys, "verify", mutated_s3t, "--budget", "10000000")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["sampled"] is False and doc["method"] == "scan"
+
+    def test_passing_verdict_never_sampled(self, capsys, files, monkeypatch):
         monkeypatch.setenv("POLYAD_BUDGET", "10")
         code, out = run(capsys, "verify", files["S3T"])
         assert code == 0
-        assert json.loads(out)["sampled"] is True
-
-    def test_flag_overrides_env(self, capsys, files, monkeypatch):
-        monkeypatch.setenv("POLYAD_BUDGET", "10")
-        code, out = run(capsys, "verify", files["S3T"], "--budget", "10000000")
-        assert code == 0
-        assert json.loads(out)["sampled"] is False
+        doc = json.loads(out)
+        assert doc["sampled"] is False and doc["method"] == "certificate"
 
 
 class TestFileFormat:

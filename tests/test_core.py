@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+import oracle
 import polyadic as P
+import polyadic.core as core
 from conftest import binary_catalog
 
 
@@ -135,6 +137,76 @@ class TestNaryGroup:
             for b in base.center:
                 for arity in (3, 4):
                     assert P.verify_nary_group(P.b_derived(base, b, arity)).passed
+
+
+class TestCertificate:
+    def test_passing_reports_are_exact_certificates(self, fixtures):
+        for name, group in fixtures.items():
+            report = P.verify_nary_group(group)
+            m, n = group.order, group.arity
+            assert report.method == "certificate" and not report.sampled, name
+            compared = m ** n if group.hg is None else 0
+            assert report.checked == compared + m ** 3, name
+            assert report.to_dict()["method"] == "certificate"
+
+    def test_agrees_with_scan_on_hg_stock(self, hg_stock):
+        for name, group in hg_stock:
+            dense_copy = P.NaryGroup(group.arity, group.order, table=group.dense().copy())
+            assert oracle.scan_verdict(dense_copy), name
+            assert P.verify_nary_group(dense_copy).method == "certificate", name
+
+    def test_agrees_with_scan_on_every_single_cell_mutation(self, fixtures):
+        tables = 0
+        for name, group in fixtures.items():
+            for cell, mutated in oracle.single_cell_mutations(group):
+                report = P.verify_nary_group(mutated)
+                assert report.passed == oracle.scan_verdict(mutated), (name, cell)
+                if not report.passed:
+                    scan = P.verify_associativity(mutated).merge(P.verify_quasigroup(mutated))
+                    assert report == scan, (name, cell)
+                tables += 1
+        assert tables == 1304
+
+    def test_sampled_scan_miss_is_caught(self, s3t):
+        table = s3t.dense().copy()
+        table[1, 2, 3] = (table[1, 2, 3] + 1) % 6
+        broken = P.NaryGroup(3, 6, table=table)
+        report = P.verify_nary_group(broken, budget=10)
+        assert not report.passed and report.method == "sampled-scan"
+        assert oracle.witness_breaks(table, *report.first())
+
+    def test_single_changed_cell_found_when_the_sample_misses(self, s3t, monkeypatch):
+        # With a one-tuple sample nearly every changed cell escapes the scan;
+        # the lines through the cells the certificate flags must still show it.
+        monkeypatch.setattr(core, "SAMPLE_COUNT", 1)
+        missed = 0
+        for cell, mutated in oracle.single_cell_mutations(s3t):
+            scan = P.verify_associativity(mutated, budget=10).merge(
+                P.verify_quasigroup(mutated, budget=10))
+            missed += scan.passed
+            report = P.verify_nary_group(mutated, budget=10)
+            assert not report.passed and report.sampled, cell
+            assert oracle.witness_breaks(mutated.dense(), *report.first()), cell
+        assert missed > 900
+
+    def test_exhaustive_scan_contradicting_the_certificate_raises(self, t2, monkeypatch):
+        monkeypatch.setattr(core, "_certify_dense", lambda table: core._Rejection(None, None))
+        with pytest.raises(RuntimeError, match="exhaustive scan"):
+            P.verify_nary_group(P.NaryGroup(3, 2, table=t2.dense()))
+
+    def test_hg_backed_group_needs_no_dense_table(self):
+        group = P.derived(P.cyclic_group(8), 9)         # 8^9 cells, above DENSE_LIMIT
+        report = P.verify_nary_group(group)
+        assert report.passed and report.method == "certificate"
+        assert report.checked == 8 ** 3
+        assert group._table is None
+
+    def test_hg_data_corrupted_after_construction_raises(self):
+        base = P.cyclic_group(3)
+        group = P.derived(base, 3)
+        base.table[0, 0] = 1
+        with pytest.raises(P.InvalidGroupError):
+            P.verify_nary_group(group)
 
 
 class TestSkew:
