@@ -7,11 +7,15 @@ held either as a dense table of m^n element indices or in decomposed form as
 :func:`verify_nary_group` decides the axioms exactly with a Hosszú–Gluskin
 certificate: a table is an n-ary group iff it equals
 ``x1 phi(x2) ... phi^(n-1)(xn) b`` for a valid decomposition, which costs
-O(n m^n + m^3) to check.  Passing verdicts are therefore never sampled.  Only
-a rejected table is scanned tuple by tuple, to find the lexicographically
-first witness of each violated axiom: (i,j)-associativity for all argument
-pairs and unique solvability at every place.  Those scans are exhaustive
-within the tuple budget and fall back to deterministic sampling above it.
+O(n m^n + m^3) to check.  Passing verdicts are therefore never sampled.  A
+rejected table gets the lexicographically first witness of each violated
+axiom, (i,j)-associativity for all argument pairs and unique solvability at
+every place, as the exhaustive scan would report it.  The witnesses are
+searched for among the tuples and lines that read the difference set, the
+cells where the table leaves a valid decomposition; only when that search
+cannot run within the tuple budget do :func:`verify_associativity` and
+:func:`verify_quasigroup` scan, exhaustively within the budget and by
+deterministic sampling above it.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .report import (
 
 DENSE_LIMIT = 1 << 24
 _CHUNK_CELLS = 1 << 21
+_FIRST_ROWS, _MAX_ROWS = 256, 1 << 16   # chunk sizes of the difference-set search
 
 
 class NaryGroup:
@@ -209,7 +214,7 @@ class NaryGroup:
         return hash((self.arity, self.order))
 
     def __repr__(self):
-        kind = "dense" if self._table is not None else "hg"
+        kind = "dense" if self.hg is None else "hg"
         return f"NaryGroup(arity={self.arity}, order={self.order}, {kind})"
 
 
@@ -248,8 +253,9 @@ def verify_associativity(group: NaryGroup, budget: int | None = None,
                          workers: int = 1) -> VerificationReport:
     """Check (i,j)-associativity for all 1 <= i < j <= n over all (2n-1)-tuples.
 
-    :func:`verify_nary_group` runs this scan only on tables its certificate
-    rejected, to find the witnesses.  Within budget the scan is exhaustive
+    The scan of every tuple, and the reference for the failure reports of
+    :func:`verify_nary_group`, which runs it only when its difference-set
+    search cannot answer within budget.  Within budget the scan is exhaustive
     (chunked over the first variable, so it can be spread across workers with
     a deterministic lowest-witness merge); above budget a fixed-seed sample is
     used and the report is flagged.
@@ -344,46 +350,201 @@ class _Rejection(NamedTuple):
 
     abar: int | None                   # skew of the anchor 0, when unique
     mismatch: tuple[int, ...] | None   # first cell differing from the rebuild
+    data: HGData | None = None         # the decomposition at anchor 0, when valid
+
+
+def _decompose(table: np.ndarray, a: int) -> tuple[int | None, HGData | None]:
+    """The skew of ``a`` and the decomposition read from the table at anchor ``a``.
+
+    Formulas as in :func:`polyadic.retract.hg_decompose`: the retract ``x*y =
+    f(x, a^(n-2), y)``, ``phi(x) = f(skew(a), x, a^(n-2))`` and ``b =
+    f(skew(a)^n)``.  Either part is None when the table does not yield it.
+    """
+    n = table.ndim
+    anchors = (a,) * (n - 2)
+    hits = np.nonzero(table[(a,) * (n - 1)] == a)[0]
+    if len(hits) != 1:
+        return None, None
+    abar = int(hits[0])
+    try:
+        g = BinaryGroup(table[(slice(None),) + anchors + (slice(None),)])
+        return abar, HGData(g, table[(abar, slice(None)) + anchors], int(table[(abar,) * n]), n)
+    except InvalidGroupError:
+        return abar, None
+
+
+def _rebuilt_slices(data: HGData):
+    """Slice x1 of ``x1 phi(x2) ... phi^(n-1)(xn) b`` is ``tail[g.table[x1, prefix]]``.
+
+    ``prefix`` is phi(x2) ... phi^(n-2)(x(n-1)) flattened over x2..x(n-1), and
+    row y of ``tail`` is the last argument's contribution, y phi^(n-1)(xn) b;
+    a slice has shape (m^(n-2), m).
+    """
+    g, pows, n = data.group, data.phi_powers, data.arity
+    prefix = pows[1]
+    for k in range(2, n - 1):
+        prefix = g.table[prefix[..., None], pows[k]]
+    return prefix.reshape(-1), g.table[:, g.table[pows[n - 1], data.b]]
+
+
+def _mismatches(table: np.ndarray, data: HGData, start: int = 0):
+    """Yield (x1, flat indices) for each slice from ``start`` on that differs from the rebuild.
+
+    Slices are compared one at a time with :func:`np.array_equal`, so no
+    table-sized temporary is made; only a differing slice is searched.
+    """
+    m = table.shape[0]
+    prefix, tail = _rebuilt_slices(data)
+    for x1 in range(start, m):
+        rebuilt = tail[data.group.table[x1, prefix]]
+        given = table[x1].reshape(-1, m)
+        if not np.array_equal(rebuilt, given):
+            yield x1, np.flatnonzero(rebuilt != given)
 
 
 def _certify_dense(table: np.ndarray) -> _Rejection | None:
     """None when the table is an n-ary group, else what the certificate saw.
 
-    At anchor 0 (Hosszú 1963, Gluskin 1965; formulas as in
-    :func:`polyadic.retract.hg_decompose`): the skew of 0 must be unique, the
-    retract ``x*y = f(x, 0^(n-2), y)`` must be a group, ``phi(x) =
-    f(skew(0), x, 0^(n-2))`` and ``b = f(skew(0)^n)`` must satisfy the
-    :class:`HGData` conditions, and the table must equal
-    ``x1 phi(x2) ... phi^(n-1)(xn) b`` cell by cell.  Every n-ary group passes
-    all four steps, and any table that does is an n-ary group.
+    At anchor 0 (Hosszú 1963, Gluskin 1965): the skew of 0 must be unique, the
+    retract must be a group, phi and b must satisfy the :class:`HGData`
+    conditions, and the table must equal ``x1 phi(x2) ... phi^(n-1)(xn) b``
+    cell by cell.  Every n-ary group passes all four steps, and any table
+    that does is an n-ary group.
     """
     m, n = table.shape[0], table.ndim
-    zeros = (0,) * (n - 2)
-    hits = np.nonzero(table[(0,) * (n - 1)] == 0)[0]
-    if len(hits) != 1:
-        return _Rejection(None, None)
-    abar = int(hits[0])
-    try:
-        g = BinaryGroup(table[(slice(None),) + zeros + (slice(None),)])
-        data = HGData(g, table[(abar, slice(None)) + zeros], int(table[(abar,) * n]), n)
-    except InvalidGroupError:
+    abar, data = _decompose(table, 0)
+    if data is None:
         return _Rejection(abar, None)
-    pows = data.phi_powers
-    # prefix[x2..x(n-1)] = phi(x2) ... phi^(n-2)(x(n-1)), flattened
-    prefix = pows[1]
-    for k in range(2, n - 1):
-        prefix = g.table[prefix[..., None], pows[k]]
-    prefix = prefix.reshape(-1)
-    # row y of tail: the last argument's contribution, y phi^(n-1)(xn) b
-    tail = g.table[:, g.table[pows[n - 1], data.b]]
-    for x1 in range(m):
-        rebuilt = tail[g.table[x1, prefix]]
-        given = table[x1].reshape(-1, m)
-        if not np.array_equal(rebuilt, given):
-            row, col = np.argwhere(rebuilt != given)[0]
-            middle = np.unravel_index(int(row), (m,) * (n - 2))
-            return _Rejection(abar, (x1,) + tuple(int(v) for v in middle) + (int(col),))
+    for x1, flat in _mismatches(table, data):
+        rest = np.unravel_index(int(flat[0]), (m,) * (n - 1))
+        return _Rejection(abar, (x1,) + tuple(int(v) for v in rest), data)
     return None
+
+
+def _difference_set(table: np.ndarray, data: HGData, start: int,
+                    limit: int) -> np.ndarray | None:
+    """Cells from slice ``start`` on where the table differs from the rebuild.
+
+    Returned as a (|D|, n) array in lexicographic order, or None as soon as
+    there are more than ``limit`` of them.
+    """
+    m, n = table.shape[0], table.ndim
+    cells, count = [], 0
+    for x1, flat in _mismatches(table, data, start):
+        count += flat.size
+        if count > limit:
+            return None
+        rest = np.unravel_index(flat, (m,) * (n - 1))
+        cells.append(np.stack((np.full(flat.size, x1),) + rest, axis=1))
+    return np.concatenate(cells) if cells else np.empty((0, n), dtype=np.int64)
+
+
+def _difference_report(group: NaryGroup, rejection: _Rejection,
+                       budget: int | None) -> VerificationReport | None:
+    """The exhaustive scan's failure report, searched for through the difference set.
+
+    The table is compared with a valid decomposition G (anchor 0's, else the
+    first anchor that decomposes); D is the set of cells where they differ.
+    A fold reads D when its inner n-tuple is in D, or when its inner n-tuple is
+    clean and its outer cell is in D.  If neither of two folds reads D, both
+    agree with the associative G, so every failing (2n-1)-tuple has a fold k
+    that reads D.  Those tuples form 2n families per cell d: fold k's inner
+    tuple is d, or fold k's outer cell is d and its inner tuple lies in G's
+    preimage of d_k (the last inner argument solved from G's rows).  A family
+    has n-1 free arguments, walked in lexicographic order in growing chunks
+    on the real table, and is left as soon as each axiom (k, j) has its
+    first failure or cannot improve on the best one found.  Lines that avoid
+    D are lines of G, hence permutations, so the first failing line through D
+    at each place is the scan's solvability witness.
+
+    Every evaluated tuple, and m per line, is charged to ``budget``, capped at
+    the m^(2n-1) tuples of the scan the search stands in for.  Since each of
+    the 2n |D| families may cost its first chunk, D may hold at most
+    cap / (2n * first chunk) cells.  Returns None when no anchor decomposes, D
+    is empty or larger than that, or the search would exceed the cap; the
+    caller then falls back to the scan.
+    """
+    table = group.dense()
+    m, n = group.order, group.arity
+    cap = min(resolve_budget(budget), m ** (2 * n - 1))
+    limit = cap // (2 * n * min(_FIRST_ROWS, m ** (n - 1)))
+    data = rejection.data
+    if data is not None:
+        cells = _difference_set(table, data, rejection.mismatch[0], limit)
+    else:
+        for a in range(1, m):
+            data = _decompose(table, a)[1]
+            if data is not None:
+                break
+        else:
+            return None
+        cells = _difference_set(table, data, 0, limit)
+    if cells is None or len(cells) == 0:
+        return None
+
+    spent, want = 0, np.arange(m)
+    solvability = []
+    for place in range(n):
+        lines = np.moveaxis(table, place, -1)
+        for fixed in np.unique(np.delete(cells, place, axis=1), axis=0):
+            spent += m
+            if spent > cap:
+                return None
+            if not np.array_equal(np.sort(lines[tuple(fixed)]), want):
+                solvability.append((f"solvability(place={place + 1})", tuple(fixed)))
+                break
+
+    g = data.group
+    prefix, tail = _rebuilt_slices(data)
+    solve = np.argsort(tail, axis=1)      # tail[p, solve[p, v]] == v
+    inner = m ** (n - 2)
+
+    def rows(k: int, d: np.ndarray, outer: bool, idx: np.ndarray) -> np.ndarray:
+        """The tuples at free index ``idx`` of the families (k, outer) through ``d``."""
+        free = np.stack(np.unravel_index(idx, (m,) * (n - 1)), axis=1)
+        d = np.broadcast_to(d, (len(idx), n))
+        if not outer:
+            return np.concatenate((free[:, :k - 1], d, free[:, k - 1:]), axis=1)
+        last = solve[g.table[free[:, 0], prefix[idx % inner]], d[:, k - 1]]
+        return np.concatenate((d[:, :k - 1], free, last[:, None], d[:, k:]), axis=1)
+
+    # Families in the order of their first tuples: once every axiom has a
+    # witness below a family's first tuple, no later family can improve one.
+    kinds = [(k, outer) for k in range(1, n + 1) for outer in (False, True)]
+    zero = np.zeros(len(cells), dtype=np.int64)
+    firsts = np.concatenate([rows(k, cells, outer, zero) for k, outer in kinds])
+    best: dict[str, tuple[int, ...]] = {}
+    size = m ** (n - 1)
+    for f in np.lexsort(firsts.T[::-1]):
+        if len(best) == n * (n - 1) // 2 and max(best.values()) <= tuple(firsts[f].tolist()):
+            break
+        (k, outer), d = kinds[f // len(cells)], cells[f % len(cells)]
+        axioms = {j: f"associativity(i={min(k, j)},j={max(k, j)})"
+                  for j in range(1, n + 1) if j != k}
+        lo, step = 0, _FIRST_ROWS
+        while axioms and lo < size:
+            hi = min(size, lo + step)
+            xs = rows(k, d, outer, np.arange(lo, hi))
+            start = tuple(xs[0].tolist())
+            axioms = {j: ax for j, ax in axioms.items() if ax not in best or best[ax] > start}
+            if not axioms:
+                break
+            spent += hi - lo
+            if spent > cap:
+                return None
+            fold_k = _fold_at(group, k, xs)
+            for j, ax in list(axioms.items()):
+                bad = np.flatnonzero(fold_k != _fold_at(group, j, xs))
+                if bad.size:
+                    witness = tuple(xs[bad[0]].tolist())
+                    best[ax] = min(best.get(ax, witness), witness)
+                    del axioms[j]
+            lo, step = hi, min(2 * step, _MAX_ROWS)
+
+    failures = sorted(best.items()) + solvability
+    if not failures:
+        return None
+    return VerificationReport.fail(failures, checked=m ** (2 * n - 1) + n * m ** n)
 
 
 def _suspect_lines(m: int, n: int, rejection: _Rejection) -> list[tuple[int, tuple[int, ...]]]:
@@ -416,14 +577,19 @@ def verify_nary_group(group: NaryGroup, budget: int | None = None,
     decomposition invariants are re-checked (``checked`` = m^3), and
     :class:`InvalidGroupError` is raised if they no longer hold.
 
-    A rejected table is scanned for witnesses with :func:`verify_associativity`
-    and :func:`verify_quasigroup` under ``budget`` and ``workers``, and their
-    report is returned as it stands.  Should a sampled scan find nothing, the
-    lines through the cells the certificate flagged are checked for unique
-    solvability; if they hold too, :class:`SizeLimitError` is raised, since the
-    table is not an n-ary group but no witness was found within budget.  An
-    exhaustive scan that finds nothing contradicts the certificate and raises
-    :class:`RuntimeError`.
+    A rejected table's report is the exhaustive scan's: the first witness of
+    each violated axiom, associativity by axiom name then solvability by
+    place, with ``method="scan"`` and ``checked`` = m^(2n-1) + n m^n.  It is
+    found from the difference set (see :func:`_difference_report`) with every
+    evaluated tuple charged to ``budget``.  When no anchor decomposes or the
+    search would exceed the budget, :func:`verify_associativity` and
+    :func:`verify_quasigroup` scan instead under ``budget`` and ``workers``,
+    and their report is returned as it stands.  Should a sampled scan find
+    nothing, the lines through the cells the certificate flagged are checked
+    for unique solvability; if they hold too, :class:`SizeLimitError` is
+    raised, since the table is not an n-ary group but no witness was found
+    within budget.  An exhaustive scan that finds nothing contradicts the
+    certificate and raises :class:`RuntimeError`.
     """
     m, n = group.order, group.arity
     if group.hg is not None:
@@ -433,7 +599,10 @@ def verify_nary_group(group: NaryGroup, budget: int | None = None,
     else:
         rejection = _certify_dense(group.dense())
         if rejection is not None:
-            return _witness_report(group, rejection, budget, workers)
+            report = _difference_report(group, rejection, budget)
+            if report is None:
+                report = _witness_report(group, rejection, budget, workers)
+            return report
         checked = m ** n + m ** 3
     out = VerificationReport(True, method="certificate", checked=checked)
     group._verify_report = out

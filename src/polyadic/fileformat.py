@@ -92,7 +92,7 @@ def group_to_dict(group: NaryGroup | BinaryGroup) -> dict:
     doc = {"arity": int(group.arity), "order": int(group.order)}
     if group.labels is not None:
         doc["labels"] = list(group.labels)
-    if group.hg is not None and group._table is None:
+    if group.hg is not None:
         doc["kind"] = "hg"
         doc["group"] = group_to_dict(group.hg.group)
         doc["phi"] = [int(v) for v in group.hg.phi]

@@ -15,8 +15,16 @@ says how it was reached (``method``):
 A scan carries the first witness found for each violated axiom, scanning in
 lexicographic tuple order so results are deterministic regardless of how the
 scan is chunked across workers.  ``checked`` counts the tuples (or cells) a
-report rests on; for a certificate it is the table cells compared with the
-rebuilt table plus the m^3 cells of the retract's group check.
+report rests on:
+
+- for a certificate, the table cells compared with the rebuilt table plus
+  the m^3 cells of the retract's group check;
+- for a ``scan``, every tuple the verdict covers, m^(2n-1) for associativity
+  plus n m^n for solvability.  A failure report that
+  :func:`polyadic.core.verify_nary_group` finds through the difference set
+  evaluates far fewer, but it covers them all, so it is equal to the
+  exhaustive scan's report, ``checked`` included;
+- for a ``sampled-scan``, the sampled tuples.
 """
 
 from __future__ import annotations

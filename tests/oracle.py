@@ -36,12 +36,18 @@ def skew_identity_failures(group):
     return failures
 
 
-def scan_verdict(group):
-    """Exhaustive associativity + solvability scan, then the skew identities."""
+def exhaustive_scan(group):
+    """The associativity + solvability scan over every tuple, whatever its size."""
     budget = group.order ** (2 * group.arity - 1)
     scan = P.verify_associativity(group, budget=budget).merge(
         P.verify_quasigroup(group, budget=budget))
     assert not scan.sampled
+    return scan
+
+
+def scan_verdict(group):
+    """Exhaustive associativity + solvability scan, then the skew identities."""
+    scan = exhaustive_scan(group)
     if not scan.passed:
         return False
     try:

@@ -207,6 +207,16 @@ class TestFileFormat:
         loaded = load_group(path)
         assert loaded.equals(t2b)
 
+    def test_hg_serialization_ignores_the_dense_cache(self, tmp_path):
+        group = P.derived(P.symmetric_group_3(), 3)
+        before = group_to_dict(group)
+        group.dense()
+        assert group_to_dict(group) == before and before["kind"] == "hg"
+        path = tmp_path / "hg.json"
+        save_group(group, path)
+        loaded = load_group(path)
+        assert loaded.hg is not None and loaded == group
+
     def test_labels_preserved(self, tmp_path, t2):
         labelled = P.NaryGroup(3, 2, table=t2.dense(), labels=("e", "a"))
         path = tmp_path / "labelled.json"

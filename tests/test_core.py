@@ -209,6 +209,80 @@ class TestCertificate:
             P.verify_nary_group(group)
 
 
+def _mutate(table, cells, rng):
+    """Copy of ``table`` with each of ``cells`` changed to another element."""
+    m = table.shape[0]
+    out = table.copy()
+    for cell in cells:
+        out[cell] = (out[cell] + rng.integers(1, m)) % m
+    return out
+
+
+class TestDifferenceSet:
+    """Failure witnesses searched for through the cells that leave a decomposition."""
+
+    def test_multi_cell_mutations_match_the_scan(self, s3t, z4m, hg_stock):
+        rng = np.random.default_rng(17)
+        groups = [("S3T", s3t, 10), ("Z4M", z4m, 10)]
+        groups += [(name, g, 2) for name, g in hg_stock if g.order > 2]
+        searched = failing = 0
+        for name, group, tables in groups:
+            table = group.dense()
+            for _ in range(tables):
+                count = int(rng.integers(2, 6))
+                flat = rng.choice(table.size, size=count, replace=False)
+                cells = [np.unravel_index(int(f), table.shape) for f in flat]
+                mutated = P.NaryGroup(group.arity, group.order, table=_mutate(table, cells, rng))
+                report = P.verify_nary_group(mutated)
+                if report.passed:
+                    continue
+                scan = oracle.exhaustive_scan(mutated)
+                assert report.to_dict() == scan.to_dict(), (name, cells)
+                direct = core._difference_report(mutated, core._certify_dense(mutated.dense()), None)
+                if direct is not None:
+                    assert direct == scan, (name, cells)
+                    searched += 1
+                failing += 1
+        assert searched * 10 >= failing * 9
+
+    def test_changed_retract_cell_answered_through_anchor_one(self, s3t):
+        table = _mutate(s3t.dense(), [(1, 0, 2)], np.random.default_rng(0))
+        mutated = P.NaryGroup(3, 6, table=table)
+        rejection = core._certify_dense(table)
+        assert rejection.data is None and core._decompose(table, 1)[1] is not None
+        report = core._difference_report(mutated, rejection, None)
+        assert report is not None and report == oracle.exhaustive_scan(mutated)
+        assert P.verify_nary_group(mutated) == report
+
+    def test_exact_witnesses_where_the_scan_would_sample(self, s3t):
+        table = _mutate(s3t.dense(), [(2, 4, 3)], np.random.default_rng(1))
+        mutated = P.NaryGroup(3, 6, table=table)
+        assert P.verify_associativity(mutated, budget=1000).sampled
+        report = P.verify_nary_group(mutated, budget=1000)
+        assert report.method == "scan" and not report.sampled
+        assert report.to_dict() == oracle.exhaustive_scan(mutated).to_dict()
+
+    def test_changed_twist_cell_falls_back_to_the_scan(self):
+        # b' still gives a valid decomposition, one that differs in every cell
+        group = P.b_derived(P.cyclic_group(8), 5, 3)
+        table = group.dense().copy()
+        cell = (group.skew(0),) * 3
+        table[cell] = (table[cell] + 1) % 8
+        mutated = P.NaryGroup(3, 8, table=table)
+        rejection = core._certify_dense(table)
+        assert rejection.data is not None
+        assert core._difference_report(mutated, rejection, None) is None
+        assert P.verify_nary_group(mutated) == oracle.exhaustive_scan(mutated)
+
+    def test_garbage_table_falls_back_to_the_scan(self):
+        table = np.random.default_rng(2).integers(0, 6, size=(6, 6, 6))
+        garbage = P.NaryGroup(3, 6, table=table)
+        assert core._difference_report(garbage, core._certify_dense(table), None) is None
+        report = P.verify_nary_group(garbage)
+        assert report == P.verify_associativity(garbage).merge(P.verify_quasigroup(garbage))
+        assert not report.passed
+
+
 class TestSkew:
     def test_values(self, z4m, q4, t2b):
         assert list(z4m.skew_table()) == [0, 1, 2, 3]

@@ -98,3 +98,10 @@ class TestDecomposition:
             for a in range(group.order):
                 data = P.hg_decompose(group, a)
                 assert P.hg_construct(data).equals(group), (name, a)
+
+    def test_rebuild_oracle_every_anchor(self, fixtures, hg_stock):
+        # hg_decompose does not re-check the product formula; this is that check
+        for name, group in list(fixtures.items()) + hg_stock:
+            for a in range(group.order):
+                rebuilt = P.hg_construct(P.hg_decompose(group, a))
+                assert np.array_equal(rebuilt.dense(), group.dense()), (name, a)
