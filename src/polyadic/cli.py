@@ -2,8 +2,7 @@
 
 Exit codes: 0 pass, 1 mathematical failure or unmet semantic precondition,
 2 usage or parse failure.  All reports are printed to stdout as JSON with
-sorted keys and sorted element lists, so output is byte-stable across runs
-and worker counts.
+sorted keys and sorted element lists, so output is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -38,11 +37,11 @@ def emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
-def _load_nary(path, workers: int, budget: int | None) -> NaryGroup:
+def _load_nary(path, budget: int | None) -> NaryGroup:
     group = load_group(path)
     if isinstance(group, BinaryGroup):
         raise InvalidGroupError("this command needs an n-ary group file")
-    report = verify_nary_group(group, budget=budget, workers=workers)
+    report = verify_nary_group(group, budget=budget)
     if not report.passed:
         first = report.first()
         raise InvalidGroupError(f"group fails {first.axiom} at {first.witness}")
@@ -61,19 +60,19 @@ def cmd_verify(args) -> int:
     if isinstance(group, BinaryGroup):
         report = verify_binary_table(group.table)
     else:
-        report = verify_nary_group(group, budget=args.budget, workers=args.workers)
+        report = verify_nary_group(group, budget=args.budget)
     emit(report.to_dict())
     return PASS if report.passed else FAIL
 
 
 def cmd_skew_table(args) -> int:
-    group = _load_nary(args.path, args.workers, args.budget)
+    group = _load_nary(args.path, args.budget)
     emit({"order": group.order, "skew": [int(v) for v in group.skew_table()]})
     return PASS
 
 
 def cmd_retract(args) -> int:
-    group = _load_nary(args.path, args.workers, args.budget)
+    group = _load_nary(args.path, args.budget)
     ret = retract(group, args.at)
     emit({
         "at": args.at,
@@ -85,7 +84,7 @@ def cmd_retract(args) -> int:
 
 
 def cmd_hg(args) -> int:
-    group = _load_nary(args.path, args.workers, args.budget)
+    group = _load_nary(args.path, args.budget)
     data = hg_decompose(group, args.at)
     emit({
         "at": args.at,
@@ -98,7 +97,7 @@ def cmd_hg(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    group = _load_nary(args.path, args.workers, args.budget)
+    group = _load_nary(args.path, args.budget)
     cov = covering_group(group, args.at)
     h = cover_H(cov)
     embedding = verify_embedding(cov, budget=args.budget)
@@ -119,21 +118,21 @@ def cmd_cover(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    group = _load_nary(args.path, args.workers, args.budget)
+    group = _load_nary(args.path, args.budget)
     part = conjugacy_classes(group)
     emit({"classes": [[int(v) for v in blk] for blk in part.blocks]})
     return PASS
 
 
 def cmd_centralizer(args) -> int:
-    group = _load_nary(args.path, args.workers, args.budget)
+    group = _load_nary(args.path, args.budget)
     elems = centralizer(group, args.of)
     emit({"of": args.of, "centralizer": [int(v) for v in elems]})
     return PASS
 
 
 def cmd_subgroups(args) -> int:
-    group = _load_nary(args.path, args.workers, args.budget)
+    group = _load_nary(args.path, args.budget)
     subs = subgroups(group)
     if args.normal:
         subs = [h for h in subs if is_normal(group, h)]
@@ -142,7 +141,7 @@ def cmd_subgroups(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    group = _load_nary(args.path, args.workers, args.budget)
+    group = _load_nary(args.path, args.budget)
     subgroup = tuple(int(v) for v in args.subgroup.split(","))
     quot = quotient(group, subgroup)
     emit({
@@ -159,7 +158,7 @@ def _matrix_doc(mat) -> list:
 
 
 def cmd_reps(args) -> int:
-    group = _load_nary(args.path, args.workers, args.budget)
+    group = _load_nary(args.path, args.budget)
     if args.dim != 1:
         raise InvalidGroupError("only 1-dimensional enumeration is supported")
     reps = one_dim_reps(group)
@@ -178,7 +177,7 @@ def cmd_reps(args) -> int:
 
 
 def cmd_chars(args) -> int:
-    group = _load_nary(args.path, args.workers, args.budget)
+    group = _load_nary(args.path, args.budget)
     reps = one_dim_reps(group)
     chars = [character(rep) for rep in reps]
     doc = {"chars": [[_round(z) for z in c.values] for c in chars]}
@@ -196,7 +195,7 @@ def cmd_chars(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    group = _load_nary(args.path, args.workers, args.budget)
+    group = _load_nary(args.path, args.budget)
     result = classify_simplicity(group)
     emit({
         "case": result.case,
@@ -220,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, **extra):
         p = sub.add_parser(name)
         p.add_argument("path", help="group file (JSON)")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--budget", type=int, default=None)
         for flag, kwargs in extra.items():
             p.add_argument(flag, **kwargs)

@@ -20,7 +20,7 @@ deterministic sampling above it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ from .errors import InvalidGroupError, SizeLimitError
 from .report import (
     SAMPLE_COUNT,
     VerificationReport,
-    merge_chunk_failures,
     resolve_budget,
     sample_tuples,
 )
@@ -249,16 +248,15 @@ def _fold_at(group: NaryGroup, i: int, xs: np.ndarray) -> np.ndarray:
     return group.eval_batch(np.stack(cols, axis=1))
 
 
-def verify_associativity(group: NaryGroup, budget: int | None = None,
-                         workers: int = 1) -> VerificationReport:
+def verify_associativity(group: NaryGroup, budget: int | None = None) -> VerificationReport:
     """Check (i,j)-associativity for all 1 <= i < j <= n over all (2n-1)-tuples.
 
     The scan of every tuple, and the reference for the failure reports of
     :func:`verify_nary_group`, which runs it only when its difference-set
-    search cannot answer within budget.  Within budget the scan is exhaustive
-    (chunked over the first variable, so it can be spread across workers with
-    a deterministic lowest-witness merge); above budget a fixed-seed sample is
-    used and the report is flagged.
+    search cannot answer within budget.  Within budget the scan is exhaustive,
+    chunked over the first variable in increasing order, so the first witness
+    of an axiom is its lexicographically lowest; above budget a fixed-seed
+    sample is used and the report is flagged.
     """
     m, n = group.order, group.arity
     budget = resolve_budget(budget)
@@ -266,28 +264,21 @@ def verify_associativity(group: NaryGroup, budget: int | None = None,
     if total <= budget and m ** n <= DENSE_LIMIT:
         table = group.dense()
         chunk_len = max(1, _CHUNK_CELLS // max(1, m ** (2 * n - 2)))
-        bounds = [(lo, min(lo + chunk_len, m)) for lo in range(0, m, chunk_len)]
-
-        def scan(bound):
-            lo, hi = bound
+        found = {}
+        for lo in range(0, m, chunk_len):
+            hi = min(lo + chunk_len, m)
             folds = {i: _fold_chunk(table, n, i, lo, hi) for i in range(1, n + 1)}
-            found = {}
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
+                    axiom = f"associativity(i={i},j={j})"
+                    if axiom in found:
+                        continue
                     bad = np.argwhere(folds[i] != folds[j])
                     if bad.size:
                         w = bad[0]
-                        found[f"associativity(i={i},j={j})"] = (int(w[0]) + lo,) + tuple(int(v) for v in w[1:])
-            return found
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(scan, bounds))
-        else:
-            results = [scan(b) for b in bounds]
-        failures = merge_chunk_failures(results)
-        if failures:
-            return VerificationReport.fail(failures, checked=total)
+                        found[axiom] = (int(w[0]) + lo,) + tuple(int(v) for v in w[1:])
+        if found:
+            return VerificationReport.fail(sorted(found.items()), checked=total)
         return VerificationReport.ok(checked=total)
 
     xs = sample_tuples(SAMPLE_COUNT, 2 * n - 1, m)
@@ -351,6 +342,7 @@ class _Rejection(NamedTuple):
     abar: int | None                   # skew of the anchor 0, when unique
     mismatch: tuple[int, ...] | None   # first cell differing from the rebuild
     data: HGData | None = None         # the decomposition at anchor 0, when valid
+    flat: np.ndarray | None = None     # differing cells of mismatch's slice, flat
 
 
 def _decompose(table: np.ndarray, a: int) -> tuple[int | None, HGData | None]:
@@ -417,20 +409,19 @@ def _certify_dense(table: np.ndarray) -> _Rejection | None:
         return _Rejection(abar, None)
     for x1, flat in _mismatches(table, data):
         rest = np.unravel_index(int(flat[0]), (m,) * (n - 1))
-        return _Rejection(abar, (x1,) + tuple(int(v) for v in rest), data)
+        return _Rejection(abar, (x1,) + tuple(int(v) for v in rest), data, flat)
     return None
 
 
-def _difference_set(table: np.ndarray, data: HGData, start: int,
-                    limit: int) -> np.ndarray | None:
-    """Cells from slice ``start`` on where the table differs from the rebuild.
+def _difference_set(table: np.ndarray, slices, limit: int) -> np.ndarray | None:
+    """The cells of the (x1, flat indices) ``slices`` of :func:`_mismatches`.
 
     Returned as a (|D|, n) array in lexicographic order, or None as soon as
     there are more than ``limit`` of them.
     """
     m, n = table.shape[0], table.ndim
     cells, count = [], 0
-    for x1, flat in _mismatches(table, data, start):
+    for x1, flat in slices:
         count += flat.size
         if count > limit:
             return None
@@ -470,7 +461,9 @@ def _difference_report(group: NaryGroup, rejection: _Rejection,
     limit = cap // (2 * n * min(_FIRST_ROWS, m ** (n - 1)))
     data = rejection.data
     if data is not None:
-        cells = _difference_set(table, data, rejection.mismatch[0], limit)
+        # the certificate has already compared the slices up to its mismatch
+        x1 = rejection.mismatch[0]
+        slices = chain([(x1, rejection.flat)], _mismatches(table, data, x1 + 1))
     else:
         for a in range(1, m):
             data = _decompose(table, a)[1]
@@ -478,7 +471,8 @@ def _difference_report(group: NaryGroup, rejection: _Rejection,
                 break
         else:
             return None
-        cells = _difference_set(table, data, 0, limit)
+        slices = _mismatches(table, data)
+    cells = _difference_set(table, slices, limit)
     if cells is None or len(cells) == 0:
         return None
 
@@ -567,8 +561,7 @@ def _suspect_lines(m: int, n: int, rejection: _Rejection) -> list[tuple[int, tup
     return lines
 
 
-def verify_nary_group(group: NaryGroup, budget: int | None = None,
-                      workers: int = 1) -> VerificationReport:
+def verify_nary_group(group: NaryGroup, budget: int | None = None) -> VerificationReport:
     """Decide the n-ary group axioms; a passing verdict is exact.
 
     A dense table passes through the Hosszú–Gluskin certificate
@@ -583,13 +576,13 @@ def verify_nary_group(group: NaryGroup, budget: int | None = None,
     found from the difference set (see :func:`_difference_report`) with every
     evaluated tuple charged to ``budget``.  When no anchor decomposes or the
     search would exceed the budget, :func:`verify_associativity` and
-    :func:`verify_quasigroup` scan instead under ``budget`` and ``workers``,
-    and their report is returned as it stands.  Should a sampled scan find
-    nothing, the lines through the cells the certificate flagged are checked
-    for unique solvability; if they hold too, :class:`SizeLimitError` is
-    raised, since the table is not an n-ary group but no witness was found
-    within budget.  An exhaustive scan that finds nothing contradicts the
-    certificate and raises :class:`RuntimeError`.
+    :func:`verify_quasigroup` scan instead under ``budget``, and their report
+    is returned as it stands.  Should a sampled scan find nothing, the lines
+    through the cells the certificate flagged are checked for unique
+    solvability; if they hold too, :class:`SizeLimitError` is raised, since
+    the table is not an n-ary group but no witness was found within budget.
+    An exhaustive scan that finds nothing contradicts the certificate and
+    raises :class:`RuntimeError`.
     """
     m, n = group.order, group.arity
     if group.hg is not None:
@@ -601,7 +594,7 @@ def verify_nary_group(group: NaryGroup, budget: int | None = None,
         if rejection is not None:
             report = _difference_report(group, rejection, budget)
             if report is None:
-                report = _witness_report(group, rejection, budget, workers)
+                report = _witness_report(group, rejection, budget)
             return report
         checked = m ** n + m ** 3
     out = VerificationReport(True, method="certificate", checked=checked)
@@ -609,11 +602,11 @@ def verify_nary_group(group: NaryGroup, budget: int | None = None,
     return out
 
 
-def _witness_report(group: NaryGroup, rejection: _Rejection, budget: int | None,
-                    workers: int) -> VerificationReport:
+def _witness_report(group: NaryGroup, rejection: _Rejection,
+                    budget: int | None) -> VerificationReport:
     """Failure report for a table the certificate rejected."""
     m, n = group.order, group.arity
-    report = verify_associativity(group, budget=budget, workers=workers)
+    report = verify_associativity(group, budget=budget)
     report = report.merge(verify_quasigroup(group, budget=budget))
     if not report.passed:
         return report

@@ -36,7 +36,8 @@ def _are_indices(values, m: int) -> bool:
 
 def group_from_dict(doc: dict) -> NaryGroup | BinaryGroup:
     """Parse a group document; structural validation only, no axiom checks
-    beyond what construction itself enforces (binary groups verify eagerly)."""
+    beyond what construction itself enforces (binary groups verify eagerly,
+    once)."""
     _require(isinstance(doc, dict), "group document must be an object")
     kind = doc.get("kind")
     _require(kind in ("dense", "hg", "binary"), f"unknown kind {kind!r}")
@@ -54,10 +55,11 @@ def group_from_dict(doc: dict) -> NaryGroup | BinaryGroup:
         table = doc.get("table")
         _require(isinstance(table, list) and len(table) == m * m, f"binary table needs {m * m} entries")
         _require(_are_indices(table, m), "table entries must be element indices")
-        report = verify_binary_table(np.array(table).reshape(m, m))
+        table = np.array(table).reshape(m, m)
+        report = verify_binary_table(table)
         if not report.passed:
             raise InvalidGroupError(f"not a group: {report.first().axiom}")
-        return BinaryGroup(np.array(table).reshape(m, m))
+        return BinaryGroup(table, check=False)
     arity = doc.get("arity")
     _require(type(arity) is int and arity >= 3, "arity must be an integer >= 3")
     if kind == "dense":

@@ -13,9 +13,8 @@ says how it was reached (``method``):
   exactly for these reports.
 
 A scan carries the first witness found for each violated axiom, scanning in
-lexicographic tuple order so results are deterministic regardless of how the
-scan is chunked across workers.  ``checked`` counts the tuples (or cells) a
-report rests on:
+lexicographic tuple order so results are deterministic.  ``checked`` counts
+the tuples (or cells) a report rests on:
 
 - for a certificate, the table cells compared with the rebuilt table plus
   the m^3 cells of the retract's group check;
@@ -114,17 +113,3 @@ class VerificationReport:
 
 def _scan_method(sampled: bool) -> str:
     return "sampled-scan" if sampled else "scan"
-
-
-def merge_chunk_failures(chunks: list[dict[str, tuple[int, ...]]]) -> list[tuple[str, tuple[int, ...]]]:
-    """Combine per-chunk {axiom: witness} maps, keeping the smallest witness."""
-    best: dict[str, tuple[int, ...]] = {}
-    order: list[str] = []
-    for chunk in chunks:
-        for axiom, witness in chunk.items():
-            if axiom not in best:
-                best[axiom] = witness
-                order.append(axiom)
-            elif witness < best[axiom]:
-                best[axiom] = witness
-    return [(a, best[a]) for a in sorted(order)]

@@ -10,7 +10,6 @@ binary group theory.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ from .retract import retract
 SubgroupRef = tuple[int, ...]
 
 SUBGROUP_ORDER_LIMIT = 24
-POWERSET_LIMIT = 12
 
 
 def verify_subgroup(group: NaryGroup, elems) -> VerificationReport:
@@ -52,41 +50,68 @@ def is_subgroup(group: NaryGroup, elems) -> bool:
     return verify_subgroup(group, elems).passed
 
 
+def _close(table: np.ndarray, skews: np.ndarray, elems) -> SubgroupRef:
+    """Grow an element mask from ``elems`` until it is f- and skew-closed.
+
+    Once the mask holds more than half the carrier, its closure H is the
+    whole carrier: for x outside H and h in H, f(x, h^(n-2), H) would have
+    |H| elements and miss H (solving inside the finite H would put x in H).
+    """
+    n, m = table.ndim, len(skews)
+    mask = np.zeros(m, dtype=bool)
+    mask[elems] = True
+    count = int(mask.sum())
+    while 2 * count <= m:
+        e = np.flatnonzero(mask)
+        mask[table[np.ix_(*([e] * n))]] = True
+        mask[skews[e]] = True
+        grown = int(mask.sum())
+        if grown == count:
+            return tuple(e.tolist())
+        count = grown
+    return tuple(range(m))
+
+
 def subgroup_closure(group: NaryGroup, gens) -> SubgroupRef:
     """Smallest f-closed, skew-closed subset containing ``gens``."""
-    table = group.dense()
-    s = {int(x) for x in gens}
-    while True:
-        new = {group.skew(x) for x in s} - s
-        sub = table[np.ix_(*([sorted(s)] * group.arity))]
-        new |= set(np.unique(sub).tolist()) - s
-        if not new:
-            return tuple(sorted(s))
-        s |= new
+    return _close(group.dense(), group.skew_table(), [int(x) for x in gens])
 
 
 def subgroups(group: NaryGroup) -> list[SubgroupRef]:
-    """All n-ary subgroups, sorted lexicographically.
+    """All n-ary subgroups, sorted lexicographically; complete up to order 24.
 
-    Complete by power-set scan up to order 12; above that (up to 24) the
-    enumeration covers every subgroup generated by at most two elements.
+    One closure-lattice search: start from the closures of single elements,
+    then close ``S + {x}`` for every subgroup S found and every x outside it,
+    until no new subgroup appears.  Every subgroup H is reached, by adding
+    its elements one at a time to the closure of one of them.
+
+    For each S only one x per set f(S^(n-1), x) is tried.  That loses
+    nothing: y = f(s1, ..., s(n-1), x) with si in S lies in <S, x>; and
+    z -> f(s1, ..., s(n-1), z) is injective and maps the finite <S, y> into
+    itself, hence onto it, so the unique preimage x of y lies in <S, y>.
+    Thus <S, y> = <S, x>, and trying y would add nothing.
     """
     group.require_verified()
-    m = group.order
+    m, n = group.order, group.arity
     if m > SUBGROUP_ORDER_LIMIT:
         raise SizeLimitError(f"subgroup enumeration limited to order {SUBGROUP_ORDER_LIMIT}")
-    found: set[SubgroupRef] = set()
-    if m <= POWERSET_LIMIT:
-        elems = list(range(m))
-        for mask in range(1, 1 << m):
-            subset = tuple(e for e in elems if mask >> e & 1)
-            if is_subgroup(group, subset):
-                found.add(subset)
-    else:
+    table, skews = group.dense(), group.skew_table()
+    found = {_close(table, skews, [x]) for x in range(m)}
+    todo = list(found)
+    while todo:
+        s = list(todo.pop())
+        done = np.zeros(m, dtype=bool)
+        done[s] = True
+        # column x holds the set f(S^(n-1), x)
+        reached = table[np.ix_(*([s] * (n - 1)))].reshape(-1, m)
         for x in range(m):
-            found.add(subgroup_closure(group, (x,)))
-        for x, y in itertools.combinations(range(m), 2):
-            found.add(subgroup_closure(group, (x, y)))
+            if done[x]:
+                continue
+            done[reached[:, x]] = True
+            h = _close(table, skews, s + [x])
+            if h not in found:
+                found.add(h)
+                todo.append(h)
     return sorted(found)
 
 
@@ -231,8 +256,9 @@ def classify_simplicity(group: NaryGroup) -> SimplicityReport:
     "Proper" means distinct from the whole group with at least two elements.
     A singleton normal subgroup forces its element to be central, and the
     group is then a twisted product over its retract there: abelian carrier
-    or reducible non-abelian carrier.  Absence of any of these within the
-    search budget is reported as candidate evidence, not proof.
+    or reducible non-abelian carrier.  Since :func:`subgroups` is complete,
+    a group with neither has no normal subgroup but itself, and is reported
+    as a strongly simple candidate.
     """
     from .retract import hg_decompose
 

@@ -75,6 +75,12 @@ def s3_two_dim():
     return np.array(mats).round(12)
 
 
+def z2_4_ternary():
+    """The ternary group derived from Z2^4: its subgroups are the 307 affine subspaces."""
+    z2 = P.cyclic_group(2)
+    return P.derived(P.direct_product(P.direct_product(z2, z2), P.direct_product(z2, z2)), 3)
+
+
 def binary_catalog():
     z = P.cyclic_group
     return {

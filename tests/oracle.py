@@ -3,7 +3,8 @@
 ``scan_verdict`` is the verdict the library reached before its Hosszú–Gluskin
 certificate: the exhaustive associativity and solvability scans, then the
 Dörnte skew identities element by element.  The certificate must agree with
-it on every table.
+it on every table.  ``powerset_subgroups`` tests every subset for the
+subgroup axioms; the closure-lattice search must find the same list.
 """
 
 import re
@@ -54,6 +55,13 @@ def scan_verdict(group):
         return not skew_identity_failures(group)
     except P.InvalidGroupError:
         return False
+
+
+def powerset_subgroups(group):
+    """Every n-ary subgroup, by testing all 2^m - 1 non-empty subsets."""
+    m = group.order
+    subsets = (tuple(e for e in range(m) if mask >> e & 1) for mask in range(1, 1 << m))
+    return sorted(s for s in subsets if P.is_subgroup(group, s))
 
 
 def witness_breaks(table, axiom, witness):

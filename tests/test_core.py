@@ -81,11 +81,6 @@ class TestAssociativity:
         assert axiom.startswith("associativity(")
         assert len(witness) == 5
 
-    def test_workers_agree(self, s3t):
-        seq = P.verify_associativity(s3t, workers=1)
-        par = P.verify_associativity(s3t, workers=4)
-        assert seq.to_dict() == par.to_dict()
-
     def test_sampled_above_budget(self, s3t):
         report = P.verify_associativity(s3t, budget=100)
         assert report.passed and report.sampled

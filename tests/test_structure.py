@@ -3,7 +3,8 @@
 import pytest
 
 import polyadic as P
-from conftest import A3, TRANSPOSITIONS
+from conftest import A3, TRANSPOSITIONS, z2_4_ternary
+from oracle import powerset_subgroups
 
 
 class TestSubgroups:
@@ -35,6 +36,22 @@ class TestSubgroups:
         found |= {subgroup_closure(s3t, pair) for pair in
                   [(x, y) for x in range(6) for y in range(x + 1, 6)]}
         assert sorted(found) == P.subgroups(s3t)
+
+    def test_matches_powerset_oracle(self, fixtures, hg_stock):
+        groups = list(fixtures.items()) + list(hg_stock)
+        for name, group in groups:
+            assert P.subgroups(group) == powerset_subgroups(group), name
+
+    def test_complete_above_order_twelve(self):
+        # Regression: above order 12 only subgroups generated by at most two
+        # elements used to be listed, 136 of these 307.
+        group = z2_4_ternary()
+        subs = P.subgroups(group)
+        sizes = [len(h) for h in subs]
+        assert len(subs) == 307
+        assert sizes.count(4) == 140 and sizes.count(8) == 30
+        assert tuple(range(16)) in subs
+        assert all(P.is_subgroup(group, h) for h in subs)
 
 
 class TestNormality:
