@@ -66,10 +66,7 @@ class BinaryGroup:
             e for e in range(self.order)
             if np.array_equal(self.table[e], rng) and np.array_equal(self.table[:, e], rng)
         )
-        self.inverse = np.array(
-            [int(np.nonzero(self.table[x] == self.identity)[0][0]) for x in range(self.order)],
-            dtype=np.int64,
-        )
+        self.inverse = np.argmax(self.table == self.identity, axis=1)
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -149,17 +146,25 @@ class BinaryGroup:
                     break
         return gens
 
+    def _mask(self, elems) -> np.ndarray:
+        mask = np.zeros(self.order, dtype=bool)
+        mask[[int(x) for x in elems]] = True
+        return mask
+
     def is_subgroup(self, elems) -> bool:
-        s = set(int(x) for x in elems)
-        if not s or self.identity not in s:
+        mask = self._mask(elems)
+        if not mask[self.identity]:
             return False
-        return all(self.mul(a, b) in s for a in s for b in s)
+        e = np.flatnonzero(mask)
+        return bool(mask[self.table[np.ix_(e, e)]].all())
 
     def is_normal_subgroup(self, elems) -> bool:
-        s = set(int(x) for x in elems)
-        if not self.is_subgroup(s):
+        """Subgroup closed under every conjugation h -> g h g^-1."""
+        if not self.is_subgroup(elems):
             return False
-        return all(int(self.conjugation(g)[h]) in s for g in range(self.order) for h in s)
+        mask = self._mask(elems)
+        e = np.flatnonzero(mask)
+        return bool(mask[self.table[self.table[:, e], self.inverse[:, None]]].all())
 
     def subgroup_group(self, elems) -> tuple["BinaryGroup", dict[int, int]]:
         """The subgroup on ``elems`` as a standalone group, plus index map."""
@@ -351,12 +356,9 @@ def abelian_characters(group: BinaryGroup, tol: float = 1e-9) -> np.ndarray:
 
 def commutator_subgroup(group: BinaryGroup) -> tuple[int, ...]:
     """Subgroup generated by all commutators a b a^-1 b^-1."""
-    comms = {
-        group.mul(group.mul(a, b), group.mul(group.inv(a), group.inv(b)))
-        for a in range(group.order)
-        for b in range(group.order)
-    }
-    return group.closure(comms)
+    t, inv = group.table, group.inverse
+    comms = t[t, t[np.ix_(inv, inv)]]
+    return group.closure(np.unique(comms).tolist())
 
 
 def linear_characters(group: BinaryGroup, tol: float = 1e-9) -> np.ndarray:

@@ -100,7 +100,7 @@ def cmd_cover(args) -> int:
     group = _load_nary(args.path, args.budget)
     cov = covering_group(group, args.at)
     h = cover_H(cov)
-    embedding = verify_embedding(cov, budget=args.budget)
+    embedding = verify_embedding(cov)
     if not embedding.passed:
         raise InvalidGroupError("embedding product law failed")
     if args.out:

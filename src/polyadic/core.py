@@ -67,7 +67,8 @@ class NaryGroup:
                 raise InvalidGroupError(
                     f"table needs {self.order ** self.arity} entries, got {arr.size}"
                 )
-            if arr.size and (arr.min() < 0 or arr.max() >= self.order):
+            # one pass: as uint64 a negative entry is huge, so max() catches both ends
+            if arr.view(np.uint64).max() >= self.order:
                 raise InvalidGroupError("table entries must be element indices")
             self._table = np.ascontiguousarray(arr.reshape((self.order,) * self.arity))
         else:
@@ -597,7 +598,7 @@ def verify_nary_group(group: NaryGroup, budget: int | None = None) -> Verificati
                 report = _witness_report(group, rejection, budget)
             return report
         checked = m ** n + m ** 3
-    out = VerificationReport(True, method="certificate", checked=checked)
+    out = VerificationReport.certificate(checked=checked)
     group._verify_report = out
     return out
 
@@ -621,6 +622,42 @@ def _witness_report(group: NaryGroup, rejection: _Rejection,
         "not an n-ary group (the Hosszú–Gluskin certificate rejects it), but no "
         f"witness was found within budget {resolve_budget(budget)}; raise the budget"
     )
+
+
+# -- homomorphism certificate -------------------------------------------------------
+
+def homomorphism_certificate_rows(group: NaryGroup) -> np.ndarray:
+    """The m^2 + m + 1 n-tuples on which a map is decided to be a homomorphism.
+
+    Take a map rho from the carrier into a group (invertible matrices, the
+    elements of a binary group), the anchor a = 0, R = rho(a)^(n-2) and
+    abar = skew(a).  Then rho(f(x1..xn)) = rho(x1)...rho(xn) holds for every
+    n-tuple iff it holds on these rows, in this order:
+
+    - (A) (x, a^(n-2), y) for all x, then y;
+    - (B) (abar, x, a^(n-2)) for all x;
+    - (C) (abar, ..., abar).
+
+    Proof: (A) at (abar, a) reads rho(a) = rho(abar) R rho(a), since
+    f(abar, a^(n-1)) = a, so rho(abar) R = 1 and x -> rho(x) R is a
+    homomorphism of the retract x.y = f(x, a^(n-2), y).  Iterating (B) gives
+    rho(phi^k(x)) = rho(abar)^k rho(x) R^k for phi(x) = f(abar, x, a^(n-2)),
+    and (C) is rho(b) = rho(abar)^n for b = f(abar^n).  The Hosszú–Gluskin
+    decomposition f(x1..xn) = x1.phi(x2)...phi^(n-1)(xn).b then maps to a
+    product that telescopes to rho(x1)...rho(xn), because R rho(abar) = 1.
+    The converse is trivial, so a failing row is a genuine witness.  The
+    group must be an n-ary group: :class:`InvalidGroupError` is raised if it
+    does not verify.
+    """
+    group.require_verified()
+    m, n = group.order, group.arity
+    a, abar = 0, group.skew(0)
+    x = np.arange(m, dtype=np.int64)
+    rows = np.full((m * m + m + 1, n), a, dtype=np.int64)
+    rows[:m * m, 0], rows[:m * m, n - 1] = np.repeat(x, m), np.tile(x, m)
+    rows[m * m:-1, 0], rows[m * m:-1, 1] = abar, x
+    rows[-1] = abar
+    return rows
 
 
 # -- structural predicates --------------------------------------------------------

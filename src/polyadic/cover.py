@@ -9,24 +9,23 @@ carrier:
 with r*s = (r+s+1) mod (n-1).  The carrier embeds as the <x,0> slice, the
 retract reappears as the normal subgroup H = {<x,n-2>} with cyclic quotient
 of order n-1, and n-fold products of embedded elements project back onto the
-n-ary operation.
+n-ary operation.  That last law is decided by the homomorphism certificate
+of :func:`polyadic.core.homomorphism_certificate_rows`, m^2 + m + 1 tuples
+instead of all m^n.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .binary import BinaryGroup, find_isomorphism
-from .core import NaryGroup
+from .core import NaryGroup, homomorphism_certificate_rows
 from .errors import InvalidGroupError
-from .report import VerificationReport, resolve_budget, sample_tuples, SAMPLE_COUNT
+from .report import VerificationReport
 from .retract import retract
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,6 @@ class CoveringGroup:
     base: NaryGroup
     anchor: int
     group: BinaryGroup
-    inverse_formula_mismatches: tuple[int, ...] = ()
 
     @property
     def period(self) -> int:
@@ -54,60 +52,45 @@ class CoveringGroup:
         return np.arange(self.base.order, dtype=np.int64) * self.period
 
 
-def _pair_product_sequence(group: NaryGroup, a: int, x: int, r: int, y: int, s: int):
-    n = group.arity
-    rs = (r + s + 1) % (n - 1)
-    seq = (x,) + (a,) * r + (y,) + (a,) * s + (group.skew(a),) + (a,) * (n - 2 - rs)
-    return seq, rs
-
-
 def covering_group(group: NaryGroup, a: int) -> CoveringGroup:
     """Build and fully verify the smallest covering group at anchor a.
 
-    The multiplication table is checked to be a group, the identity must be
-    <skew(a), n-2>, and the closed-form inverse
+    Each (r, s) block of the table holds the m^2 products <x,r> * <y,s>.
+    Their sequence x, a^r, y, a^s, skew(a), a^(n-2-r*s) has length n or
+    2n-1, so a block is one left fold of ``eval_batch`` over its m^2 (x, y)
+    rows: one call for length n, two for 2n-1.  The table is then checked
+    to be a group, and its identity must be <skew(a), n-2>; a failure of
+    either raises.  The closed-form inverse
     ``<fold(skew(a), a^(n-2-t), skew(x), x^(n-3), skew(a), a^(n-2-k)), k>``
-    with ``k = (n-3-t) mod (n-1)`` is compared against the table inverse for
-    every element.  (The tail exponent n-2-k equals the usual t+1 except at
-    t = n-2, where k wraps and the padding must shrink to zero with it.)  If
-    the formula ever disagreed, the table inverse would win and the
-    discrepancy would be logged; structural failures raise instead.
+    with ``k = (n-3-t) mod (n-1)`` is proved equal to the table's inverse by
+    the tests (``tests/oracle.py``), not here.
     """
     group.require_verified()
     m, n = group.order, group.arity
     period = n - 1
-    size = m * period
+    a = int(a)
     abar = group.skew(a)
-    table = np.zeros((size, size), dtype=np.int64)
-    for x in range(m):
-        for r in range(period):
-            for y in range(m):
-                for s in range(period):
-                    seq, rs = _pair_product_sequence(group, a, x, r, y, s)
-                    z = group.eval_long(seq)
-                    table[x * period + r, y * period + s] = z * period + rs
-    cover = BinaryGroup(table)  # raises on any group-axiom failure
+    xs = np.repeat(np.arange(m, dtype=np.int64), m)
+    ys = np.tile(np.arange(m, dtype=np.int64), m)
+    table = np.empty((m, period, m, period), dtype=np.int64)
+    for r in range(period):
+        for s in range(period):
+            rs = (r + s + 1) % period
+            seq = (0,) + (a,) * r + (0,) + (a,) * s + (abar,) + (a,) * (n - 2 - rs)
+            rows = np.tile(np.array(seq, dtype=np.int64), (m * m, 1))
+            rows[:, 0], rows[:, r + 1] = xs, ys
+            acc = group.eval_batch(rows[:, :n])
+            if len(seq) > n:
+                rows[:, n - 1] = acc
+                acc = group.eval_batch(rows[:, n - 1:])
+            table[:, r, :, s] = (acc * period + rs).reshape(m, m)
+    size = m * period
+    cover = BinaryGroup(table.reshape(size, size))  # raises on any group-axiom failure
     if cover.identity != abar * period + (n - 2):
         raise InvalidGroupError(
             f"cover identity is {cover.identity}, expected pair ({abar},{n - 2})"
         )
-    mismatches = []
-    for x in range(m):
-        for t in range(period):
-            k = (n - 3 - t) % period
-            seq = (
-                (abar,) + (a,) * (n - 2 - t) + (group.skew(x),) + (x,) * (n - 3)
-                + (abar,) + (a,) * (n - 2 - k)
-            )
-            z = group.eval_long(seq)
-            if cover.inv(x * period + t) != z * period + k:
-                mismatches.append(x * period + t)
-    if mismatches:
-        logger.warning(
-            "cover inverse formula disagreed with the table at %d elements; "
-            "the table inverse is authoritative", len(mismatches),
-        )
-    return CoveringGroup(group, int(a), cover, tuple(mismatches))
+    return CoveringGroup(group, a, cover)
 
 
 def cover_H(cover: CoveringGroup) -> tuple[int, ...]:
@@ -127,27 +110,22 @@ def cover_H(cover: CoveringGroup) -> tuple[int, ...]:
     return h
 
 
-def verify_embedding(cover: CoveringGroup, budget: int | None = None) -> VerificationReport:
-    """n-fold products of embedded elements must project to the n-ary operation."""
+def verify_embedding(cover: CoveringGroup) -> VerificationReport:
+    """n-fold products of embedded elements must project to the n-ary operation.
+
+    Decided by the homomorphism certificate: the product law holds on every
+    n-tuple iff it holds on the m^2 + m + 1 rows of
+    :func:`~polyadic.core.homomorphism_certificate_rows`
+    (``method="certificate"``).  A failing row is itself a failing n-tuple
+    and is reported as the witness.
+    """
     g = cover.base
-    m, n = g.order, g.arity
     emb = cover.embed
     table = cover.group.table
-    budget = resolve_budget(budget)
-    total = m ** n
-    sampled = total > budget
-    if not sampled:
-        xs = np.stack(np.unravel_index(np.arange(total), (m,) * n), axis=1)
-    else:
-        xs = sample_tuples(SAMPLE_COUNT, n, m)
-    acc = emb[xs[:, 0]]
-    for k in range(1, n):
-        acc = table[acc, emb[xs[:, k]]]
-    want = emb[g.eval_batch(xs)]
-    bad = np.nonzero(acc != want)[0]
-    if bad.size:
-        return VerificationReport.fail(
-            [("embedding-product", tuple(int(v) for v in xs[bad[0]]))],
-            checked=len(xs), sampled=sampled,
-        )
-    return VerificationReport.ok(checked=len(xs), sampled=sampled)
+    rows = homomorphism_certificate_rows(g)
+    acc = emb[rows[:, 0]]
+    for k in range(1, g.arity):
+        acc = table[acc, emb[rows[:, k]]]
+    bad = np.nonzero(acc != emb[g.eval_batch(rows)])[0]
+    failures = [("embedding-product", rows[bad[0]])] if bad.size else []
+    return VerificationReport.certificate(failures, checked=len(rows))

@@ -4,7 +4,9 @@ A representation maps elements to invertible matrices so that the image of
 ``f(x1..xn)`` is the n-fold matrix product, and at least one element maps to
 the identity matrix (the kernel condition): multiplicative solutions with an
 empty kernel ("hom-solutions", e.g. the constant -1) are deliberately not
-representations and are tracked separately where they matter.
+representations and are tracked separately where they matter.  Whether a
+map is a representation is decided exactly, by the homomorphism certificate
+on m^2 + m + 1 tuples (:func:`verify_representation`), never by sampling.
 
 Matrix equality is tolerance-based throughout (default 1e-9 per entry,
 1e-6 for accumulated sums such as orthogonality).
@@ -20,10 +22,10 @@ import numpy as np
 
 from .action import conjugacy_classes
 from .binary import BinaryGroup, HGData, abelian_characters, linear_characters
-from .core import NaryGroup, is_semiabelian, verify_nary_group
+from .core import NaryGroup, homomorphism_certificate_rows, is_semiabelian, verify_nary_group
 from .cover import CoveringGroup, covering_group
 from .errors import CriterionUnavailableError, InvalidGroupError, SizeLimitError
-from .report import SAMPLE_COUNT, VerificationReport, resolve_budget, sample_tuples
+from .report import VerificationReport
 from .retract import hg_construct, retract, hg_decompose
 from .structure import QuotientGroup, SubgroupRef, central_elements, is_normal, verify_subgroup
 
@@ -102,58 +104,41 @@ class GModule:
             raise InvalidGroupError(f"element {self.p} does not act as the identity")
 
 
-def _tuple_rows(m: int, n: int, budget: int):
-    """All (or sampled) n-tuples as a row matrix, plus the sampled flag."""
-    total = m ** n
-    if total <= budget:
-        rows = np.stack(np.unravel_index(np.arange(total), (m,) * n), axis=1)
-        return rows, False
-    return sample_tuples(SAMPLE_COUNT, n, m), True
+def verify_representation(group: NaryGroup, images, eps: float = EPS) -> VerificationReport:
+    """Invertible images, the product identity on every n-tuple, non-empty kernel.
 
-
-def verify_representation(group: NaryGroup, images, eps: float = EPS,
-                          budget: int | None = None) -> VerificationReport:
-    """Homomorphism over all n-tuples, non-empty kernel, and skew powers.
-
-    On an otherwise passing representation the skew compatibility
-    ``L(skew(e)) = L(e)^(2-n)`` is also required for every element e.
+    The product identity is decided by the homomorphism certificate: it
+    holds on every n-tuple iff it holds on the m^2 + m + 1 rows of
+    :func:`~polyadic.core.homomorphism_certificate_rows`
+    (``method="certificate"``, ``checked`` = m^2 + m + 1).  A failing row is
+    itself a failing n-tuple and is the ``homomorphism`` witness.  The skew
+    law ``L(skew(e)) = L(e)^(2-n)`` follows, from f(e^(n-1), skew(e)) = e.
     """
     images = np.asarray(images, dtype=complex)
-    m, n = group.order, group.arity
+    m = group.order
     d = images.shape[1]
-    failures = []
     if images.shape != (m, d, d):
         return VerificationReport.fail([("images-shape", ())])
     dets = np.linalg.det(images)
     bad = np.nonzero(np.abs(dets) <= eps)[0]
     if bad.size:
         return VerificationReport.fail([(f"not-invertible(x={int(bad[0])})", (int(bad[0]),))])
-    rows, sampled = _tuple_rows(m, n, resolve_budget(budget))
-    checked = len(rows)
+    rows = homomorphism_certificate_rows(group)
+    failures = []
     for lo in range(0, len(rows), _CHUNK):
         chunk = rows[lo:lo + _CHUNK]
         acc = images[chunk[:, 0]]
-        for k in range(1, n):
+        for k in range(1, group.arity):
             acc = acc @ images[chunk[:, k]]
         want = images[group.eval_batch(chunk)]
         err = np.abs(acc - want).reshape(len(chunk), -1).max(axis=1)
         idx = np.nonzero(err > eps)[0]
         if idx.size:
-            failures.append(("homomorphism", tuple(int(v) for v in chunk[idx[0]])))
+            failures.append(("homomorphism", chunk[idx[0]]))
             break
-    eye = np.eye(d)
-    ker = [x for x in range(m) if _mat_close(images[x], eye, eps)]
-    if not ker:
+    if not (np.abs(images - np.eye(d)).reshape(m, -1).max(axis=1) <= eps).any():
         failures.append(("kernel-empty", ()))
-    if not failures:
-        for e in range(m):
-            want = np.linalg.matrix_power(images[e], 2 - n)
-            if not _mat_close(images[group.skew(e)], want, eps * 10):
-                failures.append((f"skew-power(e={e})", (e,)))
-                break
-    if failures:
-        return VerificationReport.fail(failures, checked=checked, sampled=sampled)
-    return VerificationReport.ok(checked=checked, sampled=sampled)
+    return VerificationReport.certificate(failures, checked=len(rows))
 
 
 def build_representation(group: NaryGroup, images, eps: float = EPS) -> Representation:

@@ -4,8 +4,13 @@ Every axiom checker returns a :class:`VerificationReport` instead of raising,
 so that mutated or otherwise broken tables are first-class inputs.  A report
 says how it was reached (``method``):
 
-- ``certificate``: an exact proof that the axioms hold, never sampled (the
-  Hosszú–Gluskin certificate of :func:`polyadic.core.verify_nary_group`);
+- ``certificate``: an exact verdict that rests on a theorem instead of a scan
+  of every tuple, never sampled: the Hosszú–Gluskin certificate of
+  :func:`polyadic.core.verify_nary_group`, and the homomorphism certificate
+  of :func:`polyadic.rep.verify_representation` and
+  :func:`polyadic.cover.verify_embedding`.  A certificate can also reject;
+  its witness is then a genuine failing tuple, but it need not be the
+  lexicographically first one;
 - ``scan``: an exhaustive scan of every tuple;
 - ``sampled-scan``: a fixed-seed pseudo-random sample, used when the tuple
   count exceeds the budget (default ``10**7``, overridable through the
@@ -16,8 +21,9 @@ A scan carries the first witness found for each violated axiom, scanning in
 lexicographic tuple order so results are deterministic.  ``checked`` counts
 the tuples (or cells) a report rests on:
 
-- for a certificate, the table cells compared with the rebuilt table plus
-  the m^3 cells of the retract's group check;
+- for the Hosszú–Gluskin certificate, the table cells compared with the
+  rebuilt table plus the m^3 cells of the retract's group check;
+- for the homomorphism certificate, its m^2 + m + 1 n-tuples;
 - for a ``scan``, every tuple the verdict covers, m^(2n-1) for associativity
   plus n m^n for solvability.  A failure report that
   :func:`polyadic.core.verify_nary_group` finds through the difference set
@@ -84,8 +90,13 @@ class VerificationReport:
 
     @classmethod
     def fail(cls, failures, checked: int = 0, sampled: bool = False) -> "VerificationReport":
-        fails = tuple(Failure(str(a), tuple(int(x) for x in w)) for a, w in failures)
-        return cls(False, fails, _scan_method(sampled), checked)
+        return cls(False, _failures(failures), _scan_method(sampled), checked)
+
+    @classmethod
+    def certificate(cls, failures=(), checked: int = 0) -> "VerificationReport":
+        """An exact verdict: passing when ``failures`` is empty."""
+        fails = _failures(failures)
+        return cls(not fails, fails, "certificate", checked)
 
     def first(self) -> Failure | None:
         return self.failures[0] if self.failures else None
@@ -109,6 +120,10 @@ class VerificationReport:
                 for f in self.failures
             ],
         }
+
+
+def _failures(failures) -> tuple[Failure, ...]:
+    return tuple(Failure(str(a), tuple(int(x) for x in w)) for a, w in failures)
 
 
 def _scan_method(sampled: bool) -> str:

@@ -120,13 +120,12 @@ def is_normal(group: NaryGroup, subgroup: SubgroupRef) -> bool:
     report = verify_subgroup(group, subgroup)
     if not report.passed:
         raise InvalidGroupError(f"not a subgroup: {report.first().axiom}")
-    s = set(subgroup)
-    n = group.arity
-    return all(
-        group.eval((a,) * (n - 3) + (group.skew(a), h, a)) in s
-        for a in range(group.order)
-        for h in subgroup
-    )
+    n, m = group.arity, group.order
+    inside = np.zeros(m, dtype=bool)
+    inside[list(subgroup)] = True
+    a = np.arange(m)[:, None]          # rows a, columns h
+    values = group.dense()[(a,) * (n - 3) + (group.skew_table()[a], np.flatnonzero(inside), a)]
+    return bool(inside[values].all())
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,21 @@ certificate: the exhaustive associativity and solvability scans, then the
 Dörnte skew identities element by element.  The certificate must agree with
 it on every table.  ``powerset_subgroups`` tests every subset for the
 subgroup axioms; the closure-lattice search must find the same list.
+
+The cover and representation oracles are the code those layers ran before
+their certificates: ``cover_table_by_eval_long`` builds a covering group's
+table one ``eval_long`` call per cell, ``cover_inverse_formula`` evaluates the
+closed-form cover inverse, and ``exhaustive_representation_scan`` and
+``exhaustive_embedding_scan`` check the product identity on every n-tuple.
 """
 
+import itertools
 import re
 
 import numpy as np
 
 import polyadic as P
+from polyadic.rep import EPS
 
 
 def skew_identity_failures(group):
@@ -64,6 +72,28 @@ def powerset_subgroups(group):
     return sorted(s for s in subsets if P.is_subgroup(group, s))
 
 
+def is_normal_by_eval(group, subgroup):
+    """f(a^(n-3), skew(a), h, a) in H, one ``eval`` per (a, h)."""
+    n, s = group.arity, set(subgroup)
+    return all(group.eval((a,) * (n - 3) + (group.skew(a), h, a)) in s
+               for a in range(group.order) for h in subgroup)
+
+
+def binary_subgroup_by_loops(group, elems):
+    """(is_subgroup, is_normal_subgroup) of a binary group, one ``mul`` per pair."""
+    s = {int(x) for x in elems}
+    sub = bool(s) and group.identity in s and all(group.mul(a, b) in s for a in s for b in s)
+    normal = sub and all(group.mul(group.mul(g, h), group.inv(g)) in s
+                         for g in range(group.order) for h in s)
+    return sub, normal
+
+
+def commutators_by_loops(group):
+    """The set of all a b a^-1 b^-1, one ``mul`` per step."""
+    return {group.mul(group.mul(a, b), group.mul(group.inv(a), group.inv(b)))
+            for a in range(group.order) for b in range(group.order)}
+
+
 def witness_breaks(table, axiom, witness):
     """Does ``witness`` violate the associativity or solvability ``axiom``?"""
     m, n = table.shape[0], table.ndim
@@ -92,3 +122,86 @@ def single_cell_mutations(group):
             mutated = table.copy()
             mutated[cell] = (mutated[cell] + shift) % m
             yield cell, P.NaryGroup(group.arity, m, table=mutated)
+
+
+def cover_table_by_eval_long(group, a):
+    """The covering group's table at anchor ``a``, one ``eval_long`` call per cell."""
+    m, n = group.order, group.arity
+    period = n - 1
+    abar = group.skew(a)
+    table = np.zeros((m * period, m * period), dtype=np.int64)
+    for x, r, y, s in itertools.product(range(m), range(period), range(m), range(period)):
+        rs = (r + s + 1) % period
+        seq = (x,) + (a,) * r + (y,) + (a,) * s + (abar,) + (a,) * (n - 2 - rs)
+        table[x * period + r, y * period + s] = group.eval_long(seq) * period + rs
+    return table
+
+
+def cover_inverse_formula(cover):
+    """Inverse of every cover element by the closed form.
+
+    ``<x,t>^-1 = <fold(skew(a), a^(n-2-t), skew(x), x^(n-3), skew(a), a^(n-2-k)), k>``
+    with ``k = (n-3-t) mod (n-1)``; the tail exponent n-2-k equals the usual
+    t+1 except at t = n-2, where k wraps and the padding shrinks with it.
+    """
+    group, a = cover.base, cover.anchor
+    n, period = group.arity, cover.period
+    abar = group.skew(a)
+    out = np.zeros(cover.group.order, dtype=np.int64)
+    for x, t in itertools.product(range(group.order), range(period)):
+        k = (n - 3 - t) % period
+        seq = ((abar,) + (a,) * (n - 2 - t) + (group.skew(x),) + (x,) * (n - 3)
+               + (abar,) + (a,) * (n - 2 - k))
+        out[cover.pair_index(x, t)] = cover.pair_index(group.eval_long(seq), k)
+    return out
+
+
+def all_tuples(m, n):
+    return np.stack(np.unravel_index(np.arange(m ** n), (m,) * n), axis=1)
+
+
+def exhaustive_representation_scan(group, images, eps=EPS):
+    """Product identity on every n-tuple, non-empty kernel, then skew powers."""
+    images = np.asarray(images, dtype=complex)
+    m, n, d = group.order, group.arity, images.shape[1]
+    rows = all_tuples(m, n)
+    acc = images[rows[:, 0]]
+    for k in range(1, n):
+        acc = acc @ images[rows[:, k]]
+    err = np.abs(acc - images[group.eval_batch(rows)]).reshape(len(rows), -1).max(axis=1)
+    bad = np.nonzero(err > eps)[0]
+    failures = [("homomorphism", rows[bad[0]])] if bad.size else []
+    eye = np.eye(d)
+    if not any(np.abs(images[x] - eye).max() <= eps for x in range(m)):
+        failures.append(("kernel-empty", ()))
+    if not failures:
+        for e in range(m):
+            want = np.linalg.matrix_power(images[e], 2 - n)
+            if np.abs(images[group.skew(e)] - want).max() > eps * 10:
+                failures.append((f"skew-power(e={e})", (e,)))
+                break
+    return P.VerificationReport.fail(failures, checked=len(rows)) if failures \
+        else P.VerificationReport.ok(checked=len(rows))
+
+
+def exhaustive_embedding_scan(cover):
+    """n-fold cover products of embedded elements against the operation, every n-tuple."""
+    group, emb, table = cover.base, cover.embed, cover.group.table
+    rows = all_tuples(group.order, group.arity)
+    acc = emb[rows[:, 0]]
+    for k in range(1, group.arity):
+        acc = table[acc, emb[rows[:, k]]]
+    bad = np.nonzero(acc != emb[group.eval_batch(rows)])[0]
+    if bad.size:
+        return P.VerificationReport.fail([("embedding-product", rows[bad[0]])], checked=len(rows))
+    return P.VerificationReport.ok(checked=len(rows))
+
+
+def product_identity_breaks(group, images, witness, eps=EPS):
+    """Does the n-tuple ``witness`` break rho(f(w)) = rho(w1)...rho(wn), by lookup?"""
+    images = np.asarray(images, dtype=complex)
+    w = tuple(int(v) for v in witness)
+    prod = images[w[0]]
+    for v in w[1:]:
+        prod = prod @ images[v]
+    return len(w) == group.arity and np.abs(prod - images[group.dense()[w]]).max() > eps

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracle
 import polyadic as P
 from polyadic.binary import commutator_subgroup, linear_characters, perm_power
 
@@ -46,6 +47,18 @@ def test_subgroup_and_normality():
     assert s3.is_normal_subgroup((0, 3, 4))
     assert s3.is_subgroup((0, 1))
     assert not s3.is_normal_subgroup((0, 1))
+
+
+def test_subgroup_tests_match_the_loops():
+    for group in (P.symmetric_group_3(), P.dihedral_group(4), P.quaternion_group()):
+        m = group.order
+        for mask in range(1 << m):
+            elems = [e for e in range(m) if mask >> e & 1]
+            want = oracle.binary_subgroup_by_loops(group, elems)
+            assert (group.is_subgroup(elems), group.is_normal_subgroup(elems)) == want, elems
+        ident = group.identity
+        assert all(group.mul(x, group.inv(x)) == ident for x in range(m))
+        assert commutator_subgroup(group) == group.closure(oracle.commutators_by_loops(group))
 
 
 def test_quotient():

@@ -355,6 +355,12 @@ class TestConstruction:
         with pytest.raises(P.InvalidGroupError, match="indices"):
             P.NaryGroup(3, 2, table=[0, 1, 1, 0, 1, 0, 0, 7])
 
+    def test_negative_entry_rejected(self):
+        # the range check is one max() over the table viewed as unsigned
+        for bad in (-1, -(2 ** 63)):
+            with pytest.raises(P.InvalidGroupError, match="indices"):
+                P.NaryGroup(3, 2, table=[0, 1, 1, 0, 1, 0, bad, 1])
+
     def test_labels_length(self, t2):
         with pytest.raises(P.InvalidGroupError, match="label"):
             P.NaryGroup(3, 2, table=t2.dense(), labels=("a",))

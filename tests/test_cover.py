@@ -1,8 +1,11 @@
 """Covering groups: structure, formulas, embedding, and module transfer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import oracle
 import polyadic as P
 
 
@@ -40,7 +43,21 @@ class TestCoveringGroup:
         for name, group in fixtures.items():
             for a in range(group.order):
                 cov = P.covering_group(group, a)
-                assert cov.inverse_formula_mismatches == (), (name, a)
+                assert np.array_equal(oracle.cover_inverse_formula(cov), cov.group.inverse), (name, a)
+
+    def test_table_equals_eval_long_oracle(self, fixtures, hg_stock):
+        for name, group in list(fixtures.items()) + hg_stock:
+            for a in range(group.order):
+                cov = P.covering_group(group, a)
+                want = oracle.cover_table_by_eval_long(group, a)
+                assert cov.group.table.tobytes() == want.tobytes(), (name, a)
+
+    def test_no_eval_long_call(self, s3t, monkeypatch):
+        def refuse(self, xs, fold="left"):
+            raise AssertionError("covering_group called eval_long")
+
+        monkeypatch.setattr(P.NaryGroup, "eval_long", refuse)
+        assert P.covering_group(s3t, 1).group.order == 12
 
     def test_anchors_give_isomorphic_covers(self, fixtures):
         for name, group in fixtures.items():
@@ -64,14 +81,53 @@ class TestCoverH:
         assert P.find_isomorphism(h_group, s3) is not None
 
 
+def with_embedding(cov, emb):
+    """A copy of ``cov`` whose embedding is ``emb`` instead of the <x,0> slice."""
+    out = dataclasses.replace(cov)
+    out.__dict__["embed"] = np.asarray(emb, dtype=np.int64)
+    return out
+
+
 class TestEmbedding:
     def test_exhaustive_on_fixtures(self, fixtures):
-        expected_checked = {"T2": 8, "T2b": 8, "Z4M": 64, "Q4": 16, "S3T": 216}
         for name, group in fixtures.items():
+            m = group.order
             cov = P.covering_group(group, 0)
             report = P.verify_embedding(cov)
-            assert report.passed and not report.sampled
-            assert report.checked == expected_checked[name], name
+            assert report.passed and report.method == "certificate"
+            assert report.checked == m * m + m + 1, name
+
+    def test_certificate_equals_oracle_at_every_anchor(self, fixtures, hg_stock):
+        for name, group in list(fixtures.items()) + hg_stock:
+            for a in range(group.order):
+                cov = P.covering_group(group, a)
+                assert P.verify_embedding(cov).passed, (name, a)
+                assert oracle.exhaustive_embedding_scan(cov).passed, (name, a)
+
+    def test_certificate_equals_oracle_on_mutated_embeddings(self, fixtures, hg_stock):
+        failing = 0
+        for name, group in list(fixtures.items()) + hg_stock:
+            cov = P.covering_group(group, 0)
+            table = group.dense()
+            for x in range(group.order):
+                for z in range(cov.group.order):
+                    if z == cov.embed[x]:
+                        continue
+                    emb = cov.embed.copy()
+                    emb[x] = z
+                    mutated = with_embedding(cov, emb)
+                    report = P.verify_embedding(mutated)
+                    assert report.passed == oracle.exhaustive_embedding_scan(mutated).passed, \
+                        (name, x, z)
+                    if report.passed:
+                        continue
+                    failing += 1
+                    w = report.first().witness
+                    prod = emb[w[0]]
+                    for v in w[1:]:
+                        prod = cov.group.mul(prod, emb[v])
+                    assert prod != emb[table[w]], (name, x, z, w)
+        assert failing > 0
 
 
 class TestLiftFromCover:

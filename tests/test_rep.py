@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracle
 import polyadic as P
 from conftest import A3, SIGN, TRANSPOSITIONS, s3_two_dim
 
@@ -42,7 +43,7 @@ class TestVerifyRepresentation:
 
     def test_t2b_hom_solution_has_empty_kernel(self, t2b):
         report = P.verify_representation(t2b, one_dim([1j, -1j]))
-        assert not report.passed
+        assert not report.passed and report.method == "certificate"
         assert {f.axiom for f in report.failures} == {"kernel-empty"}
 
     def test_homomorphism_failure(self, t2):
@@ -64,6 +65,53 @@ class TestVerifyRepresentation:
                 for e in range(group.order):
                     want = np.linalg.matrix_power(rep.images[e], 2 - n)
                     assert np.abs(rep.images[group.skew(e)] - want).max() < 1e-9
+
+
+def single_entry_mutations(images, root_order):
+    """Images with one entry changed: times -1 or a primitive root, or another element's image."""
+    root = np.exp(2j * np.pi / root_order)
+    for x in range(len(images)):
+        for factor in (-1, root):
+            mutated = images.copy()
+            mutated[x] = factor * images[x]
+            yield mutated
+        for y in range(len(images)):
+            if np.abs(images[y] - images[x]).max() > 1e-9:
+                mutated = images.copy()
+                mutated[x] = images[y]
+                yield mutated
+
+
+class TestCertificate:
+    """The homomorphism certificate against the scan of every n-tuple."""
+
+    @staticmethod
+    def agree(group, images):
+        m = group.order
+        report = P.verify_representation(group, images)
+        scan = oracle.exhaustive_representation_scan(group, images)
+        assert report.method == "certificate" and report.checked == m * m + m + 1
+        assert report.passed == scan.passed
+        assert {f.axiom for f in report.failures} == {f.axiom for f in scan.failures}
+        for f in report.failures:
+            if f.axiom == "homomorphism":
+                assert oracle.product_identity_breaks(group, images, f.witness), f.witness
+        return report.passed
+
+    def test_one_dim_reps_and_mutations(self, fixtures, hg_stock):
+        outcomes = set()
+        for name, group in list(fixtures.items()) + hg_stock:
+            for rep in P.one_dim_reps(group):
+                assert self.agree(group, rep.images), name
+                for mutated in single_entry_mutations(rep.images, group.order * (group.arity - 1)):
+                    outcomes.add(self.agree(group, mutated))
+        assert outcomes == {True, False}
+
+    def test_two_dim_and_sign_reps_and_mutations(self, s3t, sign_rep):
+        for images in (s3_two_dim().astype(complex), sign_rep.images):
+            assert self.agree(s3t, images)
+            for mutated in single_entry_mutations(images, 6):
+                assert not self.agree(s3t, mutated)
 
 
 class TestCharacter:

@@ -4,7 +4,7 @@ import pytest
 
 import polyadic as P
 from conftest import A3, TRANSPOSITIONS, z2_4_ternary
-from oracle import powerset_subgroups
+from oracle import is_normal_by_eval, powerset_subgroups
 
 
 class TestSubgroups:
@@ -60,6 +60,11 @@ class TestNormality:
         assert P.is_normal(s3t, TRANSPOSITIONS)
         assert not P.is_normal(s3t, (1,))
         assert not P.is_normal(s3t, (0, 1))
+
+    def test_matches_eval_loop(self, fixtures, hg_stock):
+        for name, group in list(fixtures.items()) + hg_stock:
+            for h in P.subgroups(group):
+                assert P.is_normal(group, h) == is_normal_by_eval(group, h), (name, h)
 
     def test_z4m(self, z4m):
         assert P.is_normal(z4m, (0, 2))
