@@ -18,9 +18,12 @@ S3T = P.derived(P.symmetric_group_3(), 3)
 #%%
 # On a derived ternary group the canonical action is literally conjugation,
 # so the classes of der(S3) are the familiar S3 classes (sizes 1, 3, 2).
+# The action's composition axiom is decided by the homomorphism certificate:
+# m^2 + m + 1 tuples at every point instead of all m^n.
 
 act = P.canonical_action(S3T)
-print("action verifies:", P.verify_action(act).passed)
+report = P.verify_action(act)
+print("action verifies:", report.passed, "by", report.method)
 print("classes of der(S3):", P.conjugacy_classes(S3T).blocks)
 
 #%%

@@ -39,6 +39,7 @@ from .core import (
     is_medial,
     is_nary_identity,
     is_semiabelian,
+    retract_table,
     verify_associativity,
     verify_nary_group,
     verify_quasigroup,

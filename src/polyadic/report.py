@@ -7,15 +7,17 @@ says how it was reached (``method``):
 - ``certificate``: an exact verdict that rests on a theorem instead of a scan
   of every tuple, never sampled: the Hosszú–Gluskin certificate of
   :func:`polyadic.core.verify_nary_group`, and the homomorphism certificate
-  of :func:`polyadic.rep.verify_representation` and
-  :func:`polyadic.cover.verify_embedding`.  A certificate can also reject;
+  of :func:`polyadic.rep.verify_representation`,
+  :func:`polyadic.cover.verify_embedding` and
+  :func:`polyadic.action.verify_action`.  A certificate can also reject;
   its witness is then a genuine failing tuple, but it need not be the
   lexicographically first one;
 - ``scan``: an exhaustive scan of every tuple;
-- ``sampled-scan``: a fixed-seed pseudo-random sample, used when the tuple
-  count exceeds the budget (default ``10**7``, overridable through the
-  ``POLYAD_BUDGET`` environment variable or per call).  ``sampled`` is true
-  exactly for these reports.
+- ``sampled-scan``: a fixed-seed pseudo-random sample.  It arises only in
+  the fallback of :func:`polyadic.core.verify_nary_group`'s failure-witness
+  search, when the scan's tuple count exceeds the budget (default ``10**7``,
+  overridable through the ``POLYAD_BUDGET`` environment variable or per
+  call).  ``sampled`` is true exactly for these reports.
 
 A scan carries the first witness found for each violated axiom, scanning in
 lexicographic tuple order so results are deterministic.  ``checked`` counts
@@ -23,7 +25,8 @@ the tuples (or cells) a report rests on:
 
 - for the Hosszú–Gluskin certificate, the table cells compared with the
   rebuilt table plus the m^3 cells of the retract's group check;
-- for the homomorphism certificate, its m^2 + m + 1 n-tuples;
+- for the homomorphism certificate, its m^2 + m + 1 n-tuples, times the
+  number of points for an action;
 - for a ``scan``, every tuple the verdict covers, m^(2n-1) for associativity
   plus n m^n for solvability.  A failure report that
   :func:`polyadic.core.verify_nary_group` finds through the difference set

@@ -16,31 +16,33 @@ from __future__ import annotations
 import numpy as np
 
 from .binary import BinaryGroup, HGData
-from .core import NaryGroup
+from .core import NaryGroup, retract_table
 from .errors import InvalidGroupError
 
 
 def retract(group: NaryGroup, a: int) -> BinaryGroup:
     """The binary group x*y = f(x, a,...,a, y) with n-2 anchor copies.
 
-    The identity must be the skew of a, and the inverse must match
+    Built from :func:`~polyadic.core.retract_table`, so no m^n table is
+    needed.  The identity must be the skew of a, and the inverse must match
     ``x^-1 = f(skew(a), x^(n-3), skew(x), skew(a))``; both are checked.
     """
     group.require_verified()
-    n = group.arity
-    table = group.dense()[(slice(None),) + (int(a),) * (n - 2) + (slice(None),)]
-    ret = BinaryGroup(table)
+    m, n, a = group.order, group.arity, int(a)
+    ret = BinaryGroup(retract_table(group, a))
     abar = group.skew(a)
     if ret.identity != abar:
         raise InvalidGroupError(
             f"retract identity {ret.identity} differs from skew({a})={abar}"
         )
-    for x in range(group.order):
-        formula = group.eval((abar,) + (x,) * (n - 3) + (group.skew(x), abar))
-        if formula != ret.inv(x):
-            raise InvalidGroupError(
-                f"retract inverse formula disagrees with table at x={x}"
-            )
+    x = np.arange(m, dtype=np.int64)
+    rows = np.repeat(x[:, None], n, axis=1)
+    rows[:, 0], rows[:, n - 2], rows[:, n - 1] = abar, group.skew_table(), abar
+    bad = np.flatnonzero(group.eval_batch(rows) != ret.inverse)
+    if bad.size:
+        raise InvalidGroupError(
+            f"retract inverse formula disagrees with table at x={bad[0]}"
+        )
     return ret
 
 
@@ -48,13 +50,12 @@ def retract_isomorphism(group: NaryGroup, e: int, p: int) -> np.ndarray:
     """The map h(x) = f(e^(n-2), x, skew(p)), verified Ret_e -> Ret_p."""
     group.require_verified()
     n, m = group.arity, group.order
-    pbar = group.skew(p)
-    h = np.array(
-        [group.eval((e,) * (n - 2) + (x, pbar)) for x in range(m)], dtype=np.int64
-    )
-    if sorted(h.tolist()) != list(range(m)):
+    rows = np.full((m, n), int(e), dtype=np.int64)
+    rows[:, n - 2], rows[:, n - 1] = np.arange(m), group.skew(p)
+    h = group.eval_batch(rows)
+    if not np.array_equal(np.sort(h), np.arange(m)):
         raise InvalidGroupError(f"retract map e={e}, p={p} is not a bijection")
-    re_tab, rp_tab = retract(group, e).table, retract(group, p).table
+    re_tab, rp_tab = retract_table(group, e), retract_table(group, p)
     if not np.array_equal(h[re_tab], rp_tab[h][:, h]):
         raise InvalidGroupError(
             f"retract map e={e}, p={p} is not a homomorphism"
@@ -71,14 +72,13 @@ def hg_decompose(group: NaryGroup, a: int) -> HGData:
     every n-ary group (Hosszú–Gluskin), and the group is verified first.
     """
     group.require_verified()
-    n, m = group.arity, group.order
+    n, m, a = group.arity, group.order, int(a)
     base = retract(group, a)
     abar = group.skew(a)
-    phi = np.array(
-        [group.eval((abar, x) + (a,) * (n - 2)) for x in range(m)], dtype=np.int64
-    )
+    rows = np.full((m, n), a, dtype=np.int64)
+    rows[:, 0], rows[:, 1] = abar, np.arange(m)
     b = group.eval((abar,) * n)
-    return HGData(base, phi, b, n)
+    return HGData(base, group.eval_batch(rows), b, n)
 
 
 def hg_construct(data: HGData, labels=None) -> NaryGroup:

@@ -130,3 +130,8 @@ def random_hg_stock(count=20, seed=P.SAMPLE_SEED):
 @pytest.fixture(scope="session")
 def hg_stock():
     return random_hg_stock()
+
+
+@pytest.fixture(scope="session")
+def hg_stock_60():
+    return random_hg_stock(60)

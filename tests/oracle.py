@@ -11,6 +11,12 @@ their certificates: ``cover_table_by_eval_long`` builds a covering group's
 table one ``eval_long`` call per cell, ``cover_inverse_formula`` evaluates the
 closed-form cover inverse, and ``exhaustive_representation_scan`` and
 ``exhaustive_embedding_scan`` check the product identity on every n-tuple.
+
+The action and predicate oracles are the scans those checks ran before the
+certificates: ``exhaustive_action_scan`` gathers every (n-tuple, point),
+``semiabelian_scan`` swaps two axes of the dense table and
+``medial_grid_scan`` composes every n x n grid.  The ``*_by_eval`` functions
+are the per-element loops that single ``eval_batch`` calls replaced.
 """
 
 import itertools
@@ -205,3 +211,127 @@ def product_identity_breaks(group, images, witness, eps=EPS):
     for v in w[1:]:
         prod = prod @ images[v]
     return len(w) == group.arity and np.abs(prod - images[group.dense()[w]]).max() > eps
+
+
+def exhaustive_action_scan(act):
+    """The action axioms over every point and every (n-tuple, point), by gather."""
+    g, t, npts = act.group, act.table, act.npoints
+    failures = []
+    for x in range(g.order):
+        if sorted(t[x].tolist()) != list(range(npts)):
+            failures.append((f"action-bijectivity(x={x})", (x,)))
+            break
+    for a in range(npts):
+        if not np.any(t[:, a] == a):
+            failures.append(("action-fixed-point", (a,)))
+            break
+    composed = t
+    for _ in range(g.arity - 1):
+        composed = t[:, composed]          # prepend one more acting element
+    bad = np.argwhere(t[g.dense()] != composed)
+    if bad.size:
+        failures.append(("action-composition", tuple(int(v) for v in bad[0])))
+    checked = g.order ** g.arity * npts
+    return P.VerificationReport.fail(failures, checked=checked) if failures \
+        else P.VerificationReport.ok(checked=checked)
+
+
+def composition_breaks(act, witness):
+    """Does (x1..xn, a) break f(x1..xn).a = x1.(x2.(...(xn.a))), by lookup?"""
+    *xs, a = (int(v) for v in witness)
+    rhs = a
+    for x in reversed(xs):
+        rhs = act.apply(x, rhs)
+    return len(xs) == act.group.arity and act.apply(int(act.group.dense()[tuple(xs)]), a) != rhs
+
+
+def semiabelian_scan(group):
+    """f(x1, .., xn) = f(xn, .., x1) with the ends swapped, on every n-tuple."""
+    table = group.dense()
+    return bool(np.array_equal(table, np.swapaxes(table, 0, group.arity - 1)))
+
+
+MEDIAL_GRID_LIMIT = 10 ** 7
+
+
+def medial_grid_scan(group):
+    """The medial law on every n x n grid, for m^(n^2) up to ``MEDIAL_GRID_LIMIT``.
+
+    One broadcast gather per composite, with one axis per grid cell.
+    """
+    m, n = group.order, group.arity
+    assert m ** (n * n) <= MEDIAL_GRID_LIMIT, "grid scan too large"
+    table = group.dense()
+
+    def cell(r, c):
+        k = r * n + c
+        return np.arange(m).reshape((1,) * k + (m,) + (1,) * (n * n - k - 1))
+
+    rows = tuple(table[tuple(cell(r, c) for c in range(n))] for r in range(n))
+    cols = tuple(table[tuple(cell(r, c) for r in range(n))] for c in range(n))
+    return bool(np.array_equal(table[rows], table[cols]))
+
+
+def medial_two_cell_witness(group):
+    """A grid breaking the medial law among those with all cells equal but two, else None.
+
+    Every background element, every pair of cells and every pair of values:
+    m^3 C(n^2, 2) grids, so a refutation at any size; finding none proves nothing.
+    """
+    m, n = group.order, group.arity
+    p, q = np.array(list(itertools.combinations(range(n * n), 2))).T
+    pair, background, x, y = np.unravel_index(np.arange(len(p) * m ** 3), (len(p), m, m, m))
+    grids = np.repeat(background[:, None], n * n, axis=1)
+    idx = np.arange(len(grids))
+    grids[idx, p[pair]], grids[idx, q[pair]] = x, y
+    grids = grids.reshape(-1, n, n)
+    rows = np.stack([group.eval_batch(grids[:, r, :]) for r in range(n)], axis=1)
+    cols = np.stack([group.eval_batch(grids[:, :, c]) for c in range(n)], axis=1)
+    bad = np.flatnonzero(group.eval_batch(rows) != group.eval_batch(cols))
+    return grids[bad[0]] if bad.size else None
+
+
+def skew_is_homomorphism(group):
+    """skew(f(x1..xn)) = f(skew(x1)..skew(xn)) on every n-tuple."""
+    skews, table = group.skew_table(), group.dense()
+    return bool(np.array_equal(skews[table], table[np.ix_(*([skews] * group.arity))]))
+
+
+def canonical_action_by_eval(group):
+    """x.a = f(x, a, x^(n-3), skew(x)), one ``eval`` per (x, a)."""
+    m, n = group.order, group.arity
+    return np.array([[group.eval((x, a) + (x,) * (n - 3) + (group.skew(x),)) for a in range(m)]
+                     for x in range(m)], dtype=np.int64)
+
+
+def shifted_identity_failure_by_eval(group, a, elems):
+    """First (x, i, j, swapped) with f(x^i, a, x^j, skew(x), x^k) != a (or a, skew(x) exchanged)."""
+    n = group.arity
+    for x in elems:
+        xb = group.skew(x)
+        for i in range(n - 1):
+            for j in range(n - 1 - i):
+                k = n - 2 - i - j
+                if group.eval((x,) * i + (a,) + (x,) * j + (xb,) + (x,) * k) != a:
+                    return x, i, j, False
+                if group.eval((x,) * i + (xb,) + (x,) * j + (a,) + (x,) * k) != a:
+                    return x, i, j, True
+    return None
+
+
+def retract_inverse_by_eval(group, a):
+    """x^-1 = f(skew(a), x^(n-3), skew(x), skew(a)) in Ret_a, one ``eval`` per x."""
+    n, abar = group.arity, group.skew(a)
+    return [group.eval((abar,) + (x,) * (n - 3) + (group.skew(x), abar)) for x in range(group.order)]
+
+
+def phi_line_by_eval(group, a):
+    """phi(x) = f(skew(a), x, a^(n-2)), one ``eval`` per x."""
+    n, abar = group.arity, group.skew(a)
+    return [group.eval((abar, x) + (a,) * (n - 2)) for x in range(group.order)]
+
+
+def retract_map_by_eval(group, e, p):
+    """h(x) = f(e^(n-2), x, skew(p)), one ``eval`` per x."""
+    n, pbar = group.arity, group.skew(p)
+    return [group.eval((e,) * (n - 2) + (x, pbar)) for x in range(group.order)]

@@ -5,8 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+import oracle
 import polyadic as P
 from conftest import A3, TRANSPOSITIONS
+from polyadic.action import _shifted_identity_failure
 
 
 def brute_orbits(act):
@@ -43,6 +45,12 @@ class TestCanonicalAction:
         for name, group in fixtures.items():
             report = P.verify_action(P.canonical_action(group))
             assert report.passed, name
+            assert report.method == "certificate", name
+
+    def test_equals_eval_oracle(self, fixtures, hg_stock):
+        for name, group in list(fixtures.items()) + hg_stock:
+            want = oracle.canonical_action_by_eval(group)
+            assert np.array_equal(P.canonical_action(group).table, want), name
 
 
 class TestVerifyAction:
@@ -64,6 +72,60 @@ class TestVerifyAction:
         act = P.Action(t2, 3, np.array([[1, 2, 0], [1, 2, 0]]))
         report = P.verify_action(act)
         assert any(f.axiom == "action-composition" for f in report.failures)
+        assert report.method == "certificate"
+        assert report.checked == (2 * 2 + 2 + 1) * 3
+        witness = [f.witness for f in report.failures if f.axiom == "action-composition"][0]
+        assert oracle.composition_breaks(act, witness)
+
+    def test_certificate_counts(self, s3t):
+        report = P.verify_action(P.canonical_action(s3t))
+        assert report.passed and not report.sampled
+        assert report.checked == (36 + 6 + 1) * 6
+
+    def test_certificate_equals_scan_on_mutations(self, fixtures, hg_stock):
+        # canonical actions, then every bijective mutation of each: two entries
+        # of one row swapped, or one row copied over another
+        agreed = passing = 0
+        for name, group in list(fixtures.items()) + hg_stock:
+            table = P.canonical_action(group).table
+            m = group.order
+            mutants = [table]
+            for x in range(m):
+                for p, q in itertools.combinations(range(m), 2):
+                    t = table.copy()
+                    t[x, [p, q]] = t[x, [q, p]]
+                    mutants.append(t)
+                for y in range(m):
+                    if y != x:
+                        t = table.copy()
+                        t[x] = table[y]
+                        mutants.append(t)
+            for t in mutants:
+                act = P.Action(group, m, t)
+                report, scan = P.verify_action(act), oracle.exhaustive_action_scan(act)
+                assert report.passed == scan.passed, name
+                axioms = [f.axiom for f in report.failures]
+                assert axioms == [f.axiom for f in scan.failures], name
+                for f in report.failures:
+                    if f.axiom == "action-composition":
+                        assert oracle.composition_breaks(act, f.witness), (name, f)
+                agreed += 1
+                passing += report.passed
+        assert agreed > 1000 and 0 < passing < agreed
+
+    def test_order_64_is_certificate(self):
+        # derived(D4 x Q8, n=3): m^n * npoints = 2^24 tuples, above the old scan budget
+        base = P.direct_product(P.dihedral_group(4), P.quaternion_group())
+        report = P.verify_action(P.canonical_action(P.derived(base, 3)))
+        assert report.passed and report.method == "certificate"
+        assert report.checked == (64 * 64 + 64 + 1) * 64
+
+    def test_budget_environment_ignored(self, s3t, monkeypatch):
+        act = P.canonical_action(s3t)
+        bad = P.Action(s3t, 6, np.tile(act.table[1], (6, 1)))
+        want = [P.verify_action(act), P.verify_action(bad)]
+        monkeypatch.setenv("POLYAD_BUDGET", "1")
+        assert [P.verify_action(act), P.verify_action(bad)] == want
 
 
 class TestOrbits:
@@ -134,6 +196,15 @@ class TestCentralizer:
         for group in fixtures.values():
             for a in range(group.order):
                 P.centralizer(group, a)
+
+    def test_shifted_identity_check_equals_loop(self, fixtures, hg_stock):
+        # on the whole carrier most elements fail, so the first failure is compared too
+        for name, group in list(fixtures.items()) + hg_stock:
+            for a in range(group.order):
+                assert oracle.shifted_identity_failure_by_eval(group, a, P.centralizer(group, a)) is None
+                everything = range(group.order)
+                assert _shifted_identity_failure(group, a, everything) == \
+                    oracle.shifted_identity_failure_by_eval(group, a, everything), (name, a)
 
 
 class TestCongruence:

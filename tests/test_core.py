@@ -345,6 +345,49 @@ class TestPredicates:
         assert not P.is_semiabelian(P.b_derived(q8, 1, 3))
         assert not P.is_semiabelian(P.derived(P.symmetric_group_3(), 3))
 
+    def test_retract_table_is_dense_slice(self, fixtures, hg_stock_60):
+        for name, group in list(fixtures.items()) + hg_stock_60:
+            n, table = group.arity, group.dense()
+            for a in range(group.order):
+                want = table[(slice(None),) + (a,) * (n - 2) + (slice(None),)]
+                assert np.array_equal(P.retract_table(group, a), want), (name, a)
+
+    def test_semiabelian_and_medial_equal_scans(self, fixtures, hg_stock_60):
+        refuted = 0
+        for name, group in list(fixtures.items()) + hg_stock_60:
+            verdict = P.is_semiabelian(group)
+            assert verdict == oracle.semiabelian_scan(group), name
+            assert P.is_medial(group) == verdict, name
+            for a in range(group.order):   # every retract is abelian or none is
+                ret = P.retract_table(group, a)
+                assert np.array_equal(ret, ret.T) == verdict, (name, a)
+            if group.order ** (group.arity ** 2) <= oracle.MEDIAL_GRID_LIMIT:
+                assert oracle.medial_grid_scan(group) == verdict, name
+            witness = oracle.medial_two_cell_witness(group)
+            assert (witness is None) == verdict, name
+            refuted += witness is not None
+            if verdict:   # in a medial group the skew map is a homomorphism
+                assert oracle.skew_is_homomorphism(group), name
+        assert refuted > 0
+
+    def test_medial_above_dense_limit(self):
+        # derived(Z4^3, n=6) has 2^36 cells; the answer needs only its retract
+        z4 = P.cyclic_group(4)
+        group = P.derived(P.direct_product(z4, P.direct_product(z4, z4)), 6)
+        assert P.is_medial(group) and P.is_semiabelian(group)
+        assert not P.is_medial(P.derived(P.direct_product(z4, P.quaternion_group()), 6))
+
+    def test_budget_environment_ignored(self, fixtures, monkeypatch):
+        want = [(P.is_semiabelian(g), P.is_medial(g)) for g in fixtures.values()]
+        monkeypatch.setenv("POLYAD_BUDGET", "1")
+        assert [(P.is_semiabelian(g), P.is_medial(g)) for g in fixtures.values()] == want
+
+    def test_unverified_input_rejected(self):
+        broken = P.NaryGroup(3, 2, table=np.zeros((2, 2, 2), dtype=int))
+        for predicate in (P.is_semiabelian, P.is_medial):
+            with pytest.raises(P.InvalidGroupError):
+                predicate(broken)
+
 
 class TestConstruction:
     def test_table_length_checked(self):

@@ -80,6 +80,35 @@ class TestCoverH:
         h_group, _ = cov.group.subgroup_group(h)
         assert P.find_isomorphism(h_group, s3) is not None
 
+    def test_slice_map_is_an_isomorphism(self, fixtures, hg_stock):
+        # find_isomorphism as the oracle: H is a retract copy, and x -> <x, n-2> is a map that shows it
+        for name, group in list(fixtures.items()) + hg_stock:
+            for a in range(group.order):
+                cov = P.covering_group(group, a)
+                h = P.cover_H(cov)
+                assert h == tuple(cov.pair_index(x, group.arity - 2) for x in range(group.order))
+                h_group, pos = cov.group.subgroup_group(h)
+                ret = P.retract(group, a)
+                assert P.find_isomorphism(h_group, ret) is not None, (name, a)
+                index = np.array([pos[v] for v in h])
+                assert np.array_equal(h_group.table[np.ix_(index, index)], index[ret.table]), (name, a)
+
+    def test_wrong_anchor_rejected(self, s3t):
+        # the anchor-1 retract is not the H of the anchor-0 cover under x -> <x, 1>
+        cov = dataclasses.replace(P.covering_group(s3t, 0), anchor=1)
+        with pytest.raises(P.InvalidGroupError, match="isomorphism"):
+            P.cover_H(cov)
+
+    def test_above_old_search_limit(self):
+        # derived(D40, n=3), order 80: above find_isomorphism's order-64 cap
+        group = P.derived(P.dihedral_group(40), 3)
+        assert P.cover_H(P.covering_group(group, 0)) == tuple(range(1, 160, 2))
+
+    def test_no_isomorphism_search(self, s3t, monkeypatch):
+        monkeypatch.setattr(P.binary, "_isomorphism_search",
+                            lambda *args: pytest.fail("isomorphism search"))
+        assert len(P.cover_H(P.covering_group(s3t, 2))) == 6
+
 
 def with_embedding(cov, emb):
     """A copy of ``cov`` whose embedding is ``emb`` instead of the <x,0> slice."""

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracle
 import polyadic as P
 
 
@@ -35,6 +36,23 @@ class TestRetract:
         with pytest.raises(P.InvalidGroupError):
             P.retract(broken, 0)
 
+    def test_inverse_formula_equals_loop(self, fixtures, hg_stock):
+        for name, group in list(fixtures.items()) + hg_stock:
+            for a in range(group.order):
+                want = oracle.retract_inverse_by_eval(group, a)
+                assert P.retract(group, a).inverse.tolist() == want, (name, a)
+
+    def test_above_dense_limit(self, monkeypatch):
+        # derived(Z4^3, n=6) has 2^36 cells; retract and decomposition read m^2 rows
+        z4 = P.cyclic_group(4)
+        base = P.direct_product(z4, P.direct_product(z4, z4))
+        group = P.derived(base, 6)
+        monkeypatch.setattr(P.NaryGroup, "dense", lambda self: pytest.fail("dense() called"))
+        assert P.retract(group, 0) == base
+        data = P.hg_decompose(group, 0)
+        assert data.group == base and data.b == base.identity
+        assert np.array_equal(data.phi, np.arange(64))
+
 
 class TestRetractIsomorphism:
     def test_same_anchor_is_automorphism(self, z4m):
@@ -52,6 +70,12 @@ class TestRetractIsomorphism:
             for e, p in itertools.product(range(group.order), repeat=2):
                 P.retract_isomorphism(group, e, p)
 
+    def test_map_equals_loop(self, fixtures, hg_stock):
+        for name, group in list(fixtures.items()) + hg_stock:
+            for e, p in itertools.product(range(group.order), repeat=2):
+                want = oracle.retract_map_by_eval(group, e, p)
+                assert P.retract_isomorphism(group, e, p).tolist() == want, (name, e, p)
+
 
 class TestDecomposition:
     def test_round_trip_every_fixture_and_anchor(self, fixtures):
@@ -59,6 +83,12 @@ class TestDecomposition:
             for a in range(group.order):
                 data = P.hg_decompose(group, a)
                 assert P.hg_construct(data).equals(group), (name, a)
+
+    def test_phi_line_equals_loop(self, fixtures, hg_stock):
+        for name, group in list(fixtures.items()) + hg_stock:
+            for a in range(group.order):
+                data = P.hg_decompose(group, a)
+                assert data.phi.tolist() == oracle.phi_line_by_eval(group, a), (name, a)
 
     def test_derived_at_identity_gives_trivial_data(self, s3, s3t):
         data = P.hg_decompose(s3t, 0)
