@@ -46,7 +46,7 @@ from .core import (
 )
 from .retract import b_derived, derived, hg_construct, hg_decompose, retract, retract_isomorphism
 from .structure import (
-    CosetPartition,
+    Partition,
     QuotientGroup,
     SimplicityReport,
     SubgroupRef,
@@ -63,7 +63,6 @@ from .structure import (
 )
 from .action import (
     Action,
-    Partition,
     canonical_action,
     centralizer,
     conjugacy_classes,

@@ -16,7 +16,7 @@ import numpy as np
 from .core import NaryGroup, homomorphism_certificate_rows, is_semiabelian
 from .errors import InvalidGroupError
 from .report import VerificationReport
-from .structure import SubgroupRef, verify_subgroup
+from .structure import Partition, SubgroupRef, verify_subgroup
 
 
 @dataclass(frozen=True)
@@ -36,22 +36,6 @@ class Action:
 
     def apply(self, x: int, a: int) -> int:
         return int(self.table[x, a])
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint sorted blocks covering a finite point set."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def block_of(self, a: int) -> int:
-        for i, blk in enumerate(self.blocks):
-            if a in blk:
-                return i
-        raise KeyError(a)
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
 
 
 def verify_action(act: Action) -> VerificationReport:
@@ -111,10 +95,8 @@ def orbits(act: Action) -> Partition:
             ra, rb = find(a), find(act.apply(x, a))
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for a in range(act.npoints):
-        groups.setdefault(find(a), []).append(a)
-    return Partition(tuple(tuple(sorted(v)) for _, v in sorted(groups.items())))
+    roots = [find(a) for a in range(act.npoints)]   # the least member of each orbit
+    return Partition.from_index(np.unique(roots, return_inverse=True)[1].reshape(-1))
 
 
 def stabilizer(act: Action, a: int) -> SubgroupRef:
@@ -170,20 +152,17 @@ def is_conjugation_congruence(group: NaryGroup) -> bool:
 
     True iff the class of f(x1..xn) only depends on the classes of the
     arguments, checked over all tuples.  Guaranteed for semiabelian groups.
+    Each tuple's class tuple is one int64 key (c^n <= m^n); one ``np.unique``
+    over the pairs (key, class of value) then holds one pair per key exactly
+    when the classes of values are determined by the keys.
     """
-    cls = np.zeros(group.order, dtype=np.int64)
-    for i, blk in enumerate(conjugacy_classes(group).blocks):
-        cls[list(blk)] = i
-    table = group.dense()
-    blocked = cls[table]
-    seen: dict[tuple[int, ...], int] = {}
-    flat_keys = np.stack([cls[idx] for idx in np.indices(table.shape)], axis=-1)
-    keys = flat_keys.reshape(-1, group.arity)
-    vals = blocked.reshape(-1)
-    for key, val in zip(map(tuple, keys.tolist()), vals.tolist()):
-        if seen.setdefault(key, val) != val:
-            return False
-    return True
+    cls = conjugacy_classes(group).index
+    c, table = int(cls.max()) + 1, group.dense()
+    key = np.zeros((), dtype=np.int64)
+    for _ in range(group.arity):
+        key = key[..., None] * c + cls
+    pairs = np.unique(key * c + cls[table])
+    return bool((np.diff(pairs // c) > 0).all())
 
 
 def conjugate_subgroup_closure(group: NaryGroup, subgroup: SubgroupRef) -> SubgroupRef:

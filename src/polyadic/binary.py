@@ -50,6 +50,53 @@ def verify_binary_table(table: np.ndarray) -> VerificationReport:
     return VerificationReport.ok(checked=checked)
 
 
+def close(table: np.ndarray, inverse: np.ndarray, elems) -> tuple[int, ...]:
+    """Grow an element mask from ``elems`` until it is closed under ``table`` and ``inverse``.
+
+    ``table`` is a binary or n-ary group table (any ``ndim``); ``inverse`` is
+    the group inverse, or the skew map of an n-ary group.  Once the mask holds
+    more than half the carrier, its closure H is the whole carrier: for a
+    binary group by Lagrange; for an n-ary group because, for x outside H and
+    h in H, f(x, h^(n-2), H) would have |H| elements and miss H (solving
+    inside the finite H would put x in H).
+    """
+    n, m = table.ndim, len(inverse)
+    mask = np.zeros(m, dtype=bool)
+    mask[elems] = True
+    count = int(mask.sum())
+    while 2 * count <= m:
+        e = np.flatnonzero(mask)
+        mask[table[np.ix_(*([e] * n))]] = True
+        mask[inverse[e]] = True
+        grown = int(mask.sum())
+        if grown == count:
+            return tuple(e.tolist())
+        count = grown
+    return tuple(range(m))
+
+
+def coset_partition(members: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coset blocks from a member matrix whose row a lists the coset of a, repeats allowed.
+
+    Returns the (blocks, size) array of distinct cosets sorted by least member,
+    and the block index of every element.  Raises unless every row holds
+    ``size`` distinct members and the distinct rows are disjoint and cover
+    the carrier.
+    """
+    rows = np.sort(members, axis=1)
+    new = np.ones(rows.shape, dtype=bool)
+    new[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    m = len(rows)
+    if (new.sum(axis=1) == size).all():
+        blocks = np.unique(rows[new].reshape(m, size), axis=0)
+        flat = blocks.reshape(-1)
+        if len(flat) == m and np.array_equal(np.sort(flat), np.arange(m)):
+            index = np.empty(m, dtype=np.int64)
+            index[flat] = np.repeat(np.arange(len(blocks)), size)
+            return blocks, index
+    raise InvalidGroupError("cosets do not partition evenly")
+
+
 class BinaryGroup:
     """Finite group given by a Cayley table of element indices 0..m-1."""
 
@@ -94,15 +141,20 @@ class BinaryGroup:
         return self.table[self.table[b], self.inv(b)]
 
     def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
+        return self.element_orders[a]
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        return tuple(self.element_order(a) for a in range(self.order))
+        """Every element advances through its powers together, one table gather per step."""
+        m, e = self.order, self.identity
+        orders = np.zeros(m, dtype=np.int64)
+        power, base = np.arange(m), np.arange(m)
+        for k in range(1, m + 1):
+            orders[(power == e) & (orders == 0)] = k
+            if orders.all():
+                break
+            power = self.table[power, base]
+        return tuple(orders.tolist())
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -121,18 +173,7 @@ class BinaryGroup:
 
     def closure(self, gens) -> tuple[int, ...]:
         """Subgroup generated by ``gens`` (sorted element indices)."""
-        seen = {self.identity} | {int(g) for g in gens}
-        frontier = list(seen)
-        while frontier:
-            new = []
-            for a in list(seen):
-                for b in frontier:
-                    for c in (self.mul(a, b), self.mul(b, a)):
-                        if c not in seen:
-                            seen.add(c)
-                            new.append(c)
-            frontier = new
-        return tuple(sorted(seen))
+        return close(self.table, self.inverse, [self.identity, *(int(g) for g in gens)])
 
     def generating_set(self) -> list[int]:
         """Small generating set, greedily grown in element order."""
@@ -168,38 +209,24 @@ class BinaryGroup:
 
     def subgroup_group(self, elems) -> tuple["BinaryGroup", dict[int, int]]:
         """The subgroup on ``elems`` as a standalone group, plus index map."""
-        elems = sorted(int(x) for x in elems)
-        pos = {e: i for i, e in enumerate(elems)}
-        k = len(elems)
-        table = np.zeros((k, k), dtype=np.int64)
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                c = self.mul(a, b)
-                if c not in pos:
-                    raise InvalidGroupError(f"set not closed: {a}*{b}={c}")
-                table[i, j] = pos[c]
-        return BinaryGroup(table), pos
+        e = np.array(sorted({int(x) for x in elems}), dtype=np.int64)
+        products = self.table[np.ix_(e, e)]
+        pos = np.minimum(np.searchsorted(e, products), len(e) - 1)
+        bad = np.argwhere(e[pos] != products)
+        if bad.size:
+            i, j = bad[0]
+            raise InvalidGroupError(f"set not closed: {e[i]}*{e[j]}={products[i, j]}")
+        return BinaryGroup(pos), {int(x): i for i, x in enumerate(e)}
 
     def quotient(self, normal) -> tuple["BinaryGroup", tuple[tuple[int, ...], ...]]:
         """Quotient by a normal subgroup; blocks sorted by least member."""
         h = sorted(int(x) for x in normal)
         if not self.is_normal_subgroup(h):
             raise InvalidGroupError("quotient requires a normal subgroup")
-        block_of = {}
-        blocks = []
-        for a in range(self.order):
-            if a in block_of:
-                continue
-            blk = tuple(sorted(int(self.table[a, x]) for x in h))
-            for x in blk:
-                block_of[x] = len(blocks)
-            blocks.append(blk)
-        q = len(blocks)
-        table = np.zeros((q, q), dtype=np.int64)
-        for i, bi in enumerate(blocks):
-            for j, bj in enumerate(blocks):
-                table[i, j] = block_of[self.mul(bi[0], bj[0])]
-        return BinaryGroup(table), tuple(blocks)
+        blocks, index = coset_partition(self.table[:, h], len(h))
+        reps = blocks[:, 0]
+        table = index[self.table[np.ix_(reps, reps)]]
+        return BinaryGroup(table), tuple(tuple(b) for b in blocks.tolist())
 
     def __eq__(self, other):
         return isinstance(other, BinaryGroup) and np.array_equal(self.table, other.table)
@@ -302,53 +329,39 @@ def automorphisms(group: BinaryGroup) -> list[np.ndarray]:
     return _isomorphism_search(group, group, collect_all=True)
 
 
-def abelian_characters(group: BinaryGroup, tol: float = 1e-9) -> np.ndarray:
+def abelian_characters(group: BinaryGroup) -> np.ndarray:
     """All 1-dim complex characters of an abelian group, as a (m, m) array.
 
-    Characters are found by assigning roots of unity to a generating set and
-    propagating through products; each candidate is verified multiplicatively
-    on the full table.  Rows are sorted by rounded value vector, so the order
-    is reproducible.
+    Over the generating set g1..gk of orders o1..ok, every element x gets a
+    coordinate row: the first exponent tuple e, in lexicographic order, with
+    x = g1^e1 ... gk^ek.  The candidate for exponents c sends x to
+    exp(2 pi i sum_j c_j e_j / o_j); all candidates come from one product of
+    the exponent and coordinate matrices, as integer phases in units of 1/L,
+    L = lcm(o1..ok).  A candidate is kept when its phases add up along the
+    full table, so every kept row is exactly multiplicative.  Rows are sorted
+    by rounded value vector, so the order is reproducible.
     """
     if not group.is_abelian:
         raise InvalidGroupError("character enumeration requires an abelian group")
-    m = group.order
+    m, table = group.order, group.table
     gens = group.generating_set()
     if not gens:
         return np.ones((1, 1), dtype=complex)
-    orders = [group.element_order(g) for g in gens]
-    chars = {}
-    for choice in itertools.product(*[range(o) for o in orders]):
-        values = np.zeros(m, dtype=complex)
-        known = np.zeros(m, dtype=bool)
-        values[group.identity] = 1.0
-        known[group.identity] = True
-        for g, k, o in zip(gens, choice, orders):
-            root = np.exp(2j * np.pi * k / o)
-            if known[g] and abs(values[g] - root) > tol:
-                break
-            values[g], known[g] = root, True
-        else:
-            frontier = [group.identity] + list(gens)
-            ok = True
-            while frontier and ok:
-                new = []
-                for x in np.nonzero(known)[0]:
-                    for y in frontier:
-                        z = group.mul(int(x), int(y))
-                        v = values[x] * values[y]
-                        if not known[z]:
-                            values[z], known[z] = v, True
-                            new.append(z)
-                        elif abs(values[z] - v) > tol:
-                            ok = False
-                frontier = new
-            if ok and known.all():
-                prod = np.outer(values, values)
-                if np.abs(values[group.table] - prod).max() <= tol:
-                    key = tuple(np.round(values, 9).tolist())
-                    chars.setdefault(key, values)
-    out = np.array([chars[k] for k in sorted(chars, key=str)])
+    orders = np.array([group.element_orders[g] for g in gens])
+    exps = np.stack(np.unravel_index(np.arange(orders.prod()), orders), axis=1)
+    elems = np.full(len(exps), group.identity)
+    for g, o, col in zip(gens, orders, exps.T):
+        powers = [group.identity]
+        for _ in range(o - 1):
+            powers.append(table[powers[-1], g])
+        elems = table[elems, np.array(powers)[col]]
+    coords = exps[np.unique(elems, return_index=True)[1]]
+    period = np.lcm.reduce(orders)
+    phases = np.unique((exps * (period // orders)) @ coords.T % period, axis=0)
+    valid = [p for p in phases if np.array_equal(p[table], (p[:, None] + p[None, :]) % period)]
+    values = np.exp(2j * np.pi * np.array(valid) / period)
+    keys = [str(tuple(np.round(v, 9).tolist())) for v in values]
+    out = values[sorted(range(len(keys)), key=keys.__getitem__)]
     if len(out) != m:
         raise InvalidGroupError(f"expected {m} characters, found {len(out)}")
     return out
@@ -357,11 +370,10 @@ def abelian_characters(group: BinaryGroup, tol: float = 1e-9) -> np.ndarray:
 def commutator_subgroup(group: BinaryGroup) -> tuple[int, ...]:
     """Subgroup generated by all commutators a b a^-1 b^-1."""
     t, inv = group.table, group.inverse
-    comms = t[t, t[np.ix_(inv, inv)]]
-    return group.closure(np.unique(comms).tolist())
+    return close(t, inv, t[t, t[np.ix_(inv, inv)]].reshape(-1))
 
 
-def linear_characters(group: BinaryGroup, tol: float = 1e-9) -> np.ndarray:
+def linear_characters(group: BinaryGroup) -> np.ndarray:
     """All 1-dim characters, for any finite group.
 
     Linear characters factor through the abelianization, so they are the
@@ -373,7 +385,7 @@ def linear_characters(group: BinaryGroup, tol: float = 1e-9) -> np.ndarray:
     idx = np.zeros(group.order, dtype=np.int64)
     for i, blk in enumerate(blocks):
         idx[list(blk)] = i
-    return abelian_characters(quot, tol=tol)[:, idx]
+    return abelian_characters(quot)[:, idx]
 
 
 def abelian_invariants(group: BinaryGroup) -> list[int]:

@@ -37,11 +37,11 @@ def emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
-def _load_nary(path, budget: int | None) -> NaryGroup:
+def _load_nary(path) -> NaryGroup:
     group = load_group(path)
     if isinstance(group, BinaryGroup):
         raise InvalidGroupError("this command needs an n-ary group file")
-    report = verify_nary_group(group, budget=budget)
+    report = verify_nary_group(group)
     if not report.passed:
         first = report.first()
         raise InvalidGroupError(f"group fails {first.axiom} at {first.witness}")
@@ -66,13 +66,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_skew_table(args) -> int:
-    group = _load_nary(args.path, args.budget)
+    group = _load_nary(args.path)
     emit({"order": group.order, "skew": [int(v) for v in group.skew_table()]})
     return PASS
 
 
 def cmd_retract(args) -> int:
-    group = _load_nary(args.path, args.budget)
+    group = _load_nary(args.path)
     ret = retract(group, args.at)
     emit({
         "at": args.at,
@@ -84,7 +84,7 @@ def cmd_retract(args) -> int:
 
 
 def cmd_hg(args) -> int:
-    group = _load_nary(args.path, args.budget)
+    group = _load_nary(args.path)
     data = hg_decompose(group, args.at)
     emit({
         "at": args.at,
@@ -97,7 +97,7 @@ def cmd_hg(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    group = _load_nary(args.path, args.budget)
+    group = _load_nary(args.path)
     cov = covering_group(group, args.at)
     h = cover_H(cov)
     embedding = verify_embedding(cov)
@@ -118,21 +118,21 @@ def cmd_cover(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    group = _load_nary(args.path, args.budget)
+    group = _load_nary(args.path)
     part = conjugacy_classes(group)
     emit({"classes": [[int(v) for v in blk] for blk in part.blocks]})
     return PASS
 
 
 def cmd_centralizer(args) -> int:
-    group = _load_nary(args.path, args.budget)
+    group = _load_nary(args.path)
     elems = centralizer(group, args.of)
     emit({"of": args.of, "centralizer": [int(v) for v in elems]})
     return PASS
 
 
 def cmd_subgroups(args) -> int:
-    group = _load_nary(args.path, args.budget)
+    group = _load_nary(args.path)
     subs = subgroups(group)
     if args.normal:
         subs = [h for h in subs if is_normal(group, h)]
@@ -141,7 +141,7 @@ def cmd_subgroups(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    group = _load_nary(args.path, args.budget)
+    group = _load_nary(args.path)
     subgroup = tuple(int(v) for v in args.subgroup.split(","))
     quot = quotient(group, subgroup)
     emit({
@@ -158,7 +158,7 @@ def _matrix_doc(mat) -> list:
 
 
 def cmd_reps(args) -> int:
-    group = _load_nary(args.path, args.budget)
+    group = _load_nary(args.path)
     if args.dim != 1:
         raise InvalidGroupError("only 1-dimensional enumeration is supported")
     reps = one_dim_reps(group)
@@ -177,7 +177,7 @@ def cmd_reps(args) -> int:
 
 
 def cmd_chars(args) -> int:
-    group = _load_nary(args.path, args.budget)
+    group = _load_nary(args.path)
     reps = one_dim_reps(group)
     chars = [character(rep) for rep in reps]
     doc = {"chars": [[_round(z) for z in c.values] for c in chars]}
@@ -195,7 +195,7 @@ def cmd_chars(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    group = _load_nary(args.path, args.budget)
+    group = _load_nary(args.path)
     result = classify_simplicity(group)
     emit({
         "case": result.case,
@@ -219,13 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, **extra):
         p = sub.add_parser(name)
         p.add_argument("path", help="group file (JSON)")
-        p.add_argument("--budget", type=int, default=None)
         for flag, kwargs in extra.items():
             p.add_argument(flag, **kwargs)
         p.set_defaults(handler=fn)
         return p
 
-    add("verify", cmd_verify)
+    add("verify", cmd_verify, **{"--budget": {"type": int, "default": None}})
     add("skew-table", cmd_skew_table)
     add("retract", cmd_retract, **{"--at": {"type": int, "required": True}})
     add("hg", cmd_hg, **{"--at": {"type": int, "required": True}})

@@ -20,6 +20,7 @@ deterministic sampling above it.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -74,7 +75,6 @@ class NaryGroup:
         else:
             if hg.group.order != self.order or hg.arity != self.arity:
                 raise InvalidGroupError("hg data does not match order/arity")
-        self._skew = np.full(self.order, -1, dtype=np.int64)
         self._verify_report: VerificationReport | None = None
 
     # -- construction helpers ------------------------------------------------
@@ -161,32 +161,41 @@ class NaryGroup:
     # -- skew elements ---------------------------------------------------------
 
     def skew(self, x: int) -> int:
-        """The unique z with f(x,...,x,z) = x; cached per element."""
-        x = int(x)
-        if self._skew[x] >= 0:
-            return int(self._skew[x])
+        """The unique z with f(x,...,x,z) = x, read from :meth:`skew_table`."""
+        return int(self.skew_table()[x])
+
+    def skew_table(self) -> np.ndarray:
+        """The skew of every element, computed once and returned read-only."""
+        return self._skews
+
+    @cached_property
+    def _skews(self) -> np.ndarray:
+        m, n = self.order, self.arity
+        xs = np.arange(m, dtype=np.int64)
         if self._table is not None:
-            row = self._table[(x,) * (self.arity - 1)]
-            hits = np.nonzero(row == x)[0]
-            if len(hits) != 1:
+            hits = self._table[(xs,) * (n - 1)] == xs[:, None]   # row x: f(x^(n-1), z) = x
+            counts = hits.sum(axis=1)
+            bad = np.flatnonzero(counts != 1)
+            if bad.size:
+                x = int(bad[0])
                 raise InvalidGroupError(
-                    f"skew of {x} not unique: {len(hits)} solutions (unverified input?)"
+                    f"skew of {x} not unique: {counts[x]} solutions (unverified input?)"
                 )
-            z = int(hits[0])
+            skews = np.argmax(hits, axis=1)
         else:
             # closed form: inverse of phi(x) phi^2(x) ... phi^(n-2)(x) b
             g, pows = self.hg.group, self.hg.phi_powers
-            acc = g.identity
-            for k in range(1, self.arity - 1):
-                acc = g.mul(acc, int(pows[k][x]))
-            z = g.inv(g.mul(acc, self.hg.b))
-            if self.eval((x,) * (self.arity - 1) + (z,)) != x:
-                raise InvalidGroupError(f"skew closed form failed at {x}")
-        self._skew[x] = z
-        return z
-
-    def skew_table(self) -> np.ndarray:
-        return np.array([self.skew(x) for x in range(self.order)], dtype=np.int64)
+            acc = np.full(m, g.identity, dtype=np.int64)
+            for k in range(1, n - 1):
+                acc = g.table[acc, pows[k]]
+            skews = g.inverse[g.table[acc, self.hg.b]]
+            rows = np.repeat(xs[:, None], n, axis=1)
+            rows[:, -1] = skews
+            bad = np.flatnonzero(self.eval_batch(rows) != xs)
+            if bad.size:
+                raise InvalidGroupError(f"skew closed form failed at {int(bad[0])}")
+        skews.setflags(write=False)
+        return skews
 
     # -- bookkeeping -----------------------------------------------------------
 

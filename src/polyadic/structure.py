@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binary import BinaryGroup
+from .binary import BinaryGroup, close, coset_partition
 from .core import NaryGroup, is_nary_identity, verify_nary_group
 from .errors import InvalidGroupError, SizeLimitError
 from .report import VerificationReport
@@ -50,31 +50,9 @@ def is_subgroup(group: NaryGroup, elems) -> bool:
     return verify_subgroup(group, elems).passed
 
 
-def _close(table: np.ndarray, skews: np.ndarray, elems) -> SubgroupRef:
-    """Grow an element mask from ``elems`` until it is f- and skew-closed.
-
-    Once the mask holds more than half the carrier, its closure H is the
-    whole carrier: for x outside H and h in H, f(x, h^(n-2), H) would have
-    |H| elements and miss H (solving inside the finite H would put x in H).
-    """
-    n, m = table.ndim, len(skews)
-    mask = np.zeros(m, dtype=bool)
-    mask[elems] = True
-    count = int(mask.sum())
-    while 2 * count <= m:
-        e = np.flatnonzero(mask)
-        mask[table[np.ix_(*([e] * n))]] = True
-        mask[skews[e]] = True
-        grown = int(mask.sum())
-        if grown == count:
-            return tuple(e.tolist())
-        count = grown
-    return tuple(range(m))
-
-
 def subgroup_closure(group: NaryGroup, gens) -> SubgroupRef:
     """Smallest f-closed, skew-closed subset containing ``gens``."""
-    return _close(group.dense(), group.skew_table(), [int(x) for x in gens])
+    return close(group.dense(), group.skew_table(), [int(x) for x in gens])
 
 
 def subgroups(group: NaryGroup) -> list[SubgroupRef]:
@@ -96,7 +74,7 @@ def subgroups(group: NaryGroup) -> list[SubgroupRef]:
     if m > SUBGROUP_ORDER_LIMIT:
         raise SizeLimitError(f"subgroup enumeration limited to order {SUBGROUP_ORDER_LIMIT}")
     table, skews = group.dense(), group.skew_table()
-    found = {_close(table, skews, [x]) for x in range(m)}
+    found = {close(table, skews, [x]) for x in range(m)}
     todo = list(found)
     while todo:
         s = list(todo.pop())
@@ -108,7 +86,7 @@ def subgroups(group: NaryGroup) -> list[SubgroupRef]:
             if done[x]:
                 continue
             done[reached[:, x]] = True
-            h = _close(table, skews, s + [x])
+            h = close(table, skews, s + [x])
             if h not in found:
                 found.add(h)
                 todo.append(h)
@@ -128,44 +106,52 @@ def is_normal(group: NaryGroup, subgroup: SubgroupRef) -> bool:
     return bool(inside[values].all())
 
 
-@dataclass(frozen=True)
-class CosetPartition:
-    """Partition of the carrier into equal-size coset blocks."""
+@dataclass(frozen=True, eq=False)
+class Partition:
+    """Disjoint sorted blocks covering {0..m-1}, numbered by least member.
+
+    ``index[x]`` is the number of the block holding x.
+    """
 
     blocks: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
+    index: np.ndarray
+
+    @classmethod
+    def from_index(cls, index) -> "Partition":
+        """The partition whose block numbers, already ordered by least member, are ``index``."""
+        index = np.asarray(index, dtype=np.int64)
+        members = np.argsort(index, kind="stable")
+        bounds = np.cumsum(np.bincount(index))[:-1]
+        return cls(tuple(tuple(b.tolist()) for b in np.split(members, bounds)), index)
+
+    @property
+    def representatives(self) -> tuple[int, ...]:
+        return tuple(b[0] for b in self.blocks)
 
     def block_of(self, x: int) -> int:
-        for i, blk in enumerate(self.blocks):
-            if x in blk:
-                return i
-        raise KeyError(x)
+        return int(self.index[x])
 
-    def index_array(self, order: int) -> np.ndarray:
-        out = np.full(order, -1, dtype=np.int64)
-        for i, blk in enumerate(self.blocks):
-            out[list(blk)] = i
-        return out
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(len(b) for b in self.blocks)
 
 
-def cosets(group: NaryGroup, subgroup: SubgroupRef) -> CosetPartition:
-    """Left cosets aH = {f(a, x^(n-2), y) : x, y in H}, verified to partition."""
+def cosets(group: NaryGroup, subgroup: SubgroupRef) -> Partition:
+    """Left cosets aH = {f(a, x^(n-2), y) : x, y in H}, verified to partition.
+
+    One ``eval_batch`` over the rows (a, x^(n-2), y) gives the member matrix
+    that :func:`~polyadic.binary.coset_partition` checks and turns into blocks.
+    """
     report = verify_subgroup(group, subgroup)
     if not report.passed:
         raise InvalidGroupError(f"not a subgroup: {report.first().axiom}")
     n, m = group.arity, group.order
-    h = sorted(subgroup)
-    seen: set[int] = set()
-    blocks = []
-    for a in range(m):
-        if a in seen:
-            continue
-        blk = sorted({group.eval((a,) + (x,) * (n - 2) + (y,)) for x in h for y in h})
-        if len(blk) != len(h) or seen & set(blk):
-            raise InvalidGroupError(f"cosets of {subgroup} do not partition evenly")
-        seen |= set(blk)
-        blocks.append(tuple(blk))
-    return CosetPartition(tuple(blocks), tuple(b[0] for b in blocks))
+    h = np.array(sorted(subgroup), dtype=np.int64)
+    rows = np.empty((m, len(h), len(h), n), dtype=np.int64)
+    rows[..., 0] = np.arange(m)[:, None, None]
+    rows[..., 1:n - 1] = h[:, None, None]
+    rows[..., n - 1] = h
+    blocks, index = coset_partition(group.eval_batch(rows.reshape(-1, n)).reshape(m, -1), len(h))
+    return Partition(tuple(map(tuple, blocks.tolist())), index)
 
 
 @dataclass(frozen=True)
@@ -174,9 +160,12 @@ class QuotientGroup:
 
     base: NaryGroup
     group: NaryGroup
-    partition: CosetPartition
-    block_index: np.ndarray
+    partition: Partition
     identity_block: int
+
+    @property
+    def block_index(self) -> np.ndarray:
+        return self.partition.index
 
     def retract_group(self) -> BinaryGroup:
         """The ordinary group the quotient reduces to (retract at the identity block)."""
@@ -192,8 +181,7 @@ def quotient(group: NaryGroup, subgroup: SubgroupRef) -> QuotientGroup:
     if not is_normal(group, subgroup):
         raise InvalidGroupError(f"{subgroup} is not a normal subgroup")
     part = cosets(group, subgroup)
-    n, m = group.arity, group.order
-    cls = part.index_array(m)
+    n, cls = group.arity, part.index
     q = len(part.blocks)
     reps = np.array(part.representatives)
     combos = np.stack(np.unravel_index(np.arange(q ** n), (q,) * n), axis=1)
@@ -212,7 +200,7 @@ def quotient(group: NaryGroup, subgroup: SubgroupRef) -> QuotientGroup:
     ident = part.blocks.index(tuple(sorted(subgroup)))
     if not is_nary_identity(qgroup, ident):
         raise InvalidGroupError("subgroup block is not a quotient identity")
-    return QuotientGroup(group, qgroup, part, cls, ident)
+    return QuotientGroup(group, qgroup, part, ident)
 
 
 def is_central(group: NaryGroup, c: int) -> bool:

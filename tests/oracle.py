@@ -17,6 +17,13 @@ certificates: ``exhaustive_action_scan`` gathers every (n-tuple, point),
 ``semiabelian_scan`` swaps two axes of the dense table and
 ``medial_grid_scan`` composes every n x n grid.  The ``*_by_eval`` functions
 are the per-element loops that single ``eval_batch`` calls replaced.
+
+The subset oracles are the loops of the binary and n-ary subset operations:
+``closure_by_frontier`` grows a closure one ``mul`` at a time,
+``binary_quotient_by_loops`` and ``cosets_by_loops`` build coset blocks
+member by member, ``abelian_characters_by_propagation`` propagates roots of
+unity through products, ``conjugation_congruence_by_dict`` walks every tuple
+with a dict, and ``skew_by_element`` solves for one skew at a time.
 """
 
 import itertools
@@ -335,3 +342,145 @@ def retract_map_by_eval(group, e, p):
     """h(x) = f(e^(n-2), x, skew(p)), one ``eval`` per x."""
     n, pbar = group.arity, group.skew(p)
     return [group.eval((e,) * (n - 2) + (x, pbar)) for x in range(group.order)]
+
+def closure_by_frontier(group, gens):
+    """Subgroup of a binary group generated by ``gens``, grown one ``mul`` at a time."""
+    seen = {group.identity} | {int(g) for g in gens}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for a in list(seen):
+            for b in frontier:
+                for c in (group.mul(a, b), group.mul(b, a)):
+                    if c not in seen:
+                        seen.add(c)
+                        new.append(c)
+        frontier = new
+    return tuple(sorted(seen))
+
+
+def generating_set_by_frontier(group):
+    """Greedy generating set in element order, closed by ``closure_by_frontier``."""
+    gens, closed = [], {group.identity}
+    for x in range(group.order):
+        if x not in closed:
+            gens.append(x)
+            closed = set(closure_by_frontier(group, gens))
+            if len(closed) == group.order:
+                break
+    return gens
+
+
+def element_order_by_loop(group, a):
+    k, x = 1, a
+    while x != group.identity:
+        x = group.mul(x, a)
+        k += 1
+    return k
+
+
+def subgroup_table_by_loops(group, elems):
+    """The table of the subgroup on sorted ``elems`` in their positions, one ``mul`` per cell."""
+    elems = sorted(int(x) for x in elems)
+    pos = {e: i for i, e in enumerate(elems)}
+    return np.array([[pos[group.mul(a, b)] for b in elems] for a in elems], dtype=np.int64)
+
+
+def binary_quotient_by_loops(group, normal):
+    """(table, blocks) of the quotient by a normal subgroup, blocks in order of least member."""
+    h = sorted(int(x) for x in normal)
+    block_of, blocks = {}, []
+    for a in range(group.order):
+        if a in block_of:
+            continue
+        blk = tuple(sorted(int(group.table[a, x]) for x in h))
+        for x in blk:
+            block_of[x] = len(blocks)
+        blocks.append(blk)
+    table = np.array([[block_of[group.mul(bi[0], bj[0])] for bj in blocks] for bi in blocks],
+                     dtype=np.int64)
+    return table, tuple(blocks)
+
+
+def cosets_by_loops(group, subgroup):
+    """Blocks aH = {f(a, x^(n-2), y)}, one ``eval`` per member; raises unless they partition."""
+    n, h = group.arity, sorted(subgroup)
+    seen, blocks = set(), []
+    for a in range(group.order):
+        if a in seen:
+            continue
+        blk = sorted({group.eval((a,) + (x,) * (n - 2) + (y,)) for x in h for y in h})
+        if len(blk) != len(h) or seen & set(blk):
+            raise P.InvalidGroupError(f"cosets of {subgroup} do not partition evenly")
+        seen |= set(blk)
+        blocks.append(tuple(blk))
+    return tuple(blocks)
+
+
+def abelian_characters_by_propagation(group, tol=1e-9):
+    """Characters of an abelian group: roots of unity on the generators, propagated by products."""
+    m = group.order
+    gens = generating_set_by_frontier(group)
+    if not gens:
+        return np.ones((1, 1), dtype=complex)
+    orders = [element_order_by_loop(group, g) for g in gens]
+    chars = {}
+    for choice in itertools.product(*[range(o) for o in orders]):
+        values = np.zeros(m, dtype=complex)
+        known = np.zeros(m, dtype=bool)
+        values[group.identity], known[group.identity] = 1.0, True
+        for g, k, o in zip(gens, choice, orders):
+            root = np.exp(2j * np.pi * k / o)
+            if known[g] and abs(values[g] - root) > tol:
+                break
+            values[g], known[g] = root, True
+        else:
+            frontier, ok = [group.identity] + list(gens), True
+            while frontier and ok:
+                new = []
+                for x in np.nonzero(known)[0]:
+                    for y in frontier:
+                        z = group.mul(int(x), int(y))
+                        v = values[x] * values[y]
+                        if not known[z]:
+                            values[z], known[z] = v, True
+                            new.append(z)
+                        elif abs(values[z] - v) > tol:
+                            ok = False
+                frontier = new
+            if ok and known.all() and \
+                    np.abs(values[group.table] - np.outer(values, values)).max() <= tol:
+                chars.setdefault(tuple(np.round(values, 9).tolist()), values)
+    return np.array([chars[k] for k in sorted(chars, key=str)])
+
+
+def conjugation_congruence_by_dict(group):
+    """Does the class of f(x1..xn) depend only on the argument classes?  One dict step per tuple."""
+    cls = np.zeros(group.order, dtype=np.int64)
+    for i, blk in enumerate(P.conjugacy_classes(group).blocks):
+        cls[list(blk)] = i
+    table = group.dense()
+    seen = {}
+    keys = np.stack([cls[idx] for idx in np.indices(table.shape)], axis=-1).reshape(-1, group.arity)
+    for key, val in zip(map(tuple, keys.tolist()), cls[table].reshape(-1).tolist()):
+        if seen.setdefault(key, val) != val:
+            return False
+    return True
+
+
+def skew_by_element(group, x):
+    """The skew of x: the one hit of row (x^(n-1), .), or the hg closed form checked by ``eval``."""
+    n = group.arity
+    if group.hg is None:
+        hits = np.nonzero(group.dense()[(x,) * (n - 1)] == x)[0]
+        if len(hits) != 1:
+            raise P.InvalidGroupError(f"skew of {x} not unique: {len(hits)} solutions")
+        return int(hits[0])
+    g, pows = group.hg.group, group.hg.phi_powers
+    acc = g.identity
+    for k in range(1, n - 1):
+        acc = g.mul(acc, int(pows[k][x]))
+    z = g.inv(g.mul(acc, group.hg.b))
+    if group.eval((x,) * (n - 1) + (z,)) != x:
+        raise P.InvalidGroupError(f"skew closed form failed at {x}")
+    return z

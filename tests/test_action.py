@@ -216,6 +216,11 @@ class TestCongruence:
     def test_s3t_not_a_congruence(self, s3t):
         assert not P.is_conjugation_congruence(s3t)
 
+    def test_equals_the_dict_loop(self, fixtures, hg_stock):
+        for name, group in list(fixtures.items()) + hg_stock:
+            assert P.is_conjugation_congruence(group) == \
+                oracle.conjugation_congruence_by_dict(group), name
+
 
 class TestConjugateClosure:
     def test_z4m(self, z4m):

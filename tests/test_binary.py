@@ -5,7 +5,8 @@ import pytest
 
 import oracle
 import polyadic as P
-from polyadic.binary import commutator_subgroup, linear_characters, perm_power
+from polyadic.binary import commutator_subgroup, coset_partition, linear_characters, perm_power
+from conftest import binary_catalog
 
 
 def test_verify_binary_table_rejects_non_group():
@@ -152,3 +153,84 @@ def test_perm_power():
     perm = np.array([1, 2, 0])
     assert np.array_equal(perm_power(perm, 3), np.arange(3))
     assert np.array_equal(perm_power(perm, 0), np.arange(3))
+
+
+SMALL = {"S3": P.symmetric_group_3(), "D4": P.dihedral_group(4), "Q8": P.quaternion_group()}
+
+
+def _subsets(m):
+    return ([e for e in range(m) if mask >> e & 1] for mask in range(1 << m))
+
+
+def test_mask_closure_equals_frontier_on_every_subset():
+    for name, group in SMALL.items():
+        for elems in _subsets(group.order):
+            assert group.closure(elems) == oracle.closure_by_frontier(group, elems), (name, elems)
+        assert group.generating_set() == oracle.generating_set_by_frontier(group), name
+        assert group.element_orders == tuple(
+            oracle.element_order_by_loop(group, a) for a in range(group.order)), name
+
+
+def test_subgroup_tables_and_quotients_equal_the_loops():
+    for name, group in SMALL.items():
+        for elems in _subsets(group.order):
+            sub, normal = oracle.binary_subgroup_by_loops(group, elems)
+            if not sub:
+                if elems:
+                    with pytest.raises(P.InvalidGroupError):
+                        group.subgroup_group(elems)
+                continue
+            h_group, pos = group.subgroup_group(elems)
+            assert np.array_equal(h_group.table, oracle.subgroup_table_by_loops(group, elems))
+            assert pos == {e: i for i, e in enumerate(elems)}
+            if normal:
+                quot, blocks = group.quotient(elems)
+                table, want = oracle.binary_quotient_by_loops(group, elems)
+                assert blocks == want and np.array_equal(quot.table, table), (name, elems)
+            else:
+                with pytest.raises(P.InvalidGroupError, match="normal"):
+                    group.quotient(elems)
+
+
+def test_characters_equal_the_propagation_search():
+    for group in binary_catalog().values():
+        if group.is_abelian:
+            got = P.abelian_characters(group)
+            want = oracle.abelian_characters_by_propagation(group)
+            assert got.shape == want.shape and np.abs(got - want).max() < 1e-9
+
+
+def test_coset_partition_rejects_overlapping_rows():
+    with pytest.raises(P.InvalidGroupError, match="partition evenly"):
+        coset_partition(np.array([[0, 1], [1, 2], [2, 0]]), 2)
+    with pytest.raises(P.InvalidGroupError, match="partition evenly"):
+        coset_partition(np.array([[0, 0], [1, 1]]), 2)
+
+
+def test_subset_operations_make_no_mul_call(monkeypatch):
+    groups = [P.quaternion_group(), P.direct_product(P.cyclic_group(2), P.cyclic_group(4))]
+
+    def refuse(self, a, b):
+        raise AssertionError("BinaryGroup.mul called")
+
+    monkeypatch.setattr(P.BinaryGroup, "mul", refuse)
+    for group in groups:
+        group.generating_set()
+        group.closure([2, 3])
+        group.element_order(2)
+        group.subgroup_group(group.closure([2]))
+        commutator_subgroup(group)
+        linear_characters(group)
+        group.quotient(group.center)
+    P.abelian_characters(groups[1])
+    P.abelian_invariants(groups[1])
+
+
+def test_automorphism_search_order_unchanged(monkeypatch):
+    # generating_set feeds the search order that fixes seeded (phi, b) choices
+    found = {name: P.automorphisms(group) for name, group in binary_catalog().items()}
+    monkeypatch.setattr(P.BinaryGroup, "generating_set", oracle.generating_set_by_frontier)
+    for name, group in binary_catalog().items():
+        want = P.automorphisms(group)
+        assert len(found[name]) == len(want), name
+        assert all(np.array_equal(a, b) for a, b in zip(found[name], want)), name

@@ -201,6 +201,11 @@ class TestBudgetEnv:
         doc = json.loads(out)
         assert doc["sampled"] is False and doc["method"] == "scan"
 
+    def test_budget_only_on_verify(self, capsys, files):
+        for command in ("skew-table", "classes", "subgroups", "reps", "chars", "classify"):
+            code, out = run(capsys, command, files["T2"], "--budget", "10")
+            assert code == 2 and out == "", command
+
     def test_passing_verdict_never_sampled(self, capsys, files, monkeypatch):
         monkeypatch.setenv("POLYAD_BUDGET", "10")
         code, out = run(capsys, "verify", files["S3T"])

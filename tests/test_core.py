@@ -314,8 +314,25 @@ class TestSkew:
 
     def test_ambiguous_skew_on_broken_table(self):
         broken = P.NaryGroup(3, 2, table=np.zeros((2, 2, 2), dtype=int))
-        with pytest.raises(P.InvalidGroupError, match="skew"):
+        with pytest.raises(P.InvalidGroupError, match="skew of 0 not unique: 2 solutions"):
             broken.skew(1)
+
+    def test_table_equals_per_element_skew(self, fixtures, hg_stock):
+        for name, group in list(fixtures.items()) + hg_stock:
+            want = [oracle.skew_by_element(group, x) for x in range(group.order)]
+            assert group.skew_table().tolist() == want, name
+            assert [group.skew(x) for x in range(group.order)] == want, name
+
+    def test_table_is_read_only(self, s3t, hg_stock):
+        for group in (s3t, hg_stock[0][1]):
+            with pytest.raises(ValueError):
+                group.skew_table()[0] = 1
+
+    def test_broken_hg_closed_form_names_first_element(self, t2b, monkeypatch):
+        group = P.NaryGroup.from_hg(P.hg_decompose(t2b, 0))
+        monkeypatch.setattr(P.NaryGroup, "eval_batch", lambda self, xs: (xs[:, 0] + 1) % self.order)
+        with pytest.raises(P.InvalidGroupError, match="closed form failed at 0"):
+            group.skew_table()
 
     def test_hg_closed_form_matches_scan(self, hg_stock):
         for name, group in hg_stock[:8]:

@@ -7,6 +7,7 @@ import pytest
 
 import oracle
 import polyadic as P
+from polyadic.binary import commutator_subgroup
 
 
 class TestCoveringGroup:
@@ -92,6 +93,28 @@ class TestCoverH:
                 assert P.find_isomorphism(h_group, ret) is not None, (name, a)
                 index = np.array([pos[v] for v in h])
                 assert np.array_equal(h_group.table[np.ix_(index, index)], index[ret.table]), (name, a)
+
+    def test_pair_index_check_equals_normality_and_cyclic_quotient(self, fixtures, hg_stock):
+        # the parent's route: normal by the loops, then a cyclic quotient of order n-1
+        for name, group in list(fixtures.items()) + hg_stock:
+            for a in range(group.order):
+                cov = P.covering_group(group, a)
+                h = P.cover_H(cov)
+                assert oracle.binary_subgroup_by_loops(cov.group, h) == (True, True), (name, a)
+                table, _ = oracle.binary_quotient_by_loops(cov.group, h)
+                quot = P.BinaryGroup(table)
+                assert quot.order == cov.period and quot.is_cyclic, (name, a)
+
+    def test_relabelled_cover_rejected(self, s3t):
+        # the same group with <0,0> and <0,1> swapped: t+1 is no longer a homomorphism
+        cov = P.covering_group(s3t, 0)
+        perm = np.arange(cov.group.order)
+        perm[[0, 1]] = perm[[1, 0]]
+        table = np.empty_like(cov.group.table)
+        table[np.ix_(perm, perm)] = perm[cov.group.table]
+        relabelled = dataclasses.replace(cov, group=P.BinaryGroup(table))
+        with pytest.raises(P.InvalidGroupError, match="homomorphism"):
+            P.cover_H(relabelled)
 
     def test_wrong_anchor_rejected(self, s3t):
         # the anchor-1 retract is not the H of the anchor-0 cover under x -> <x, 1>
@@ -207,3 +230,38 @@ class TestLiftFromCover:
             assert P.value_vector_set(lifted) == P.value_vector_set(
                 P.one_dim_reps_bruteforce(group)
             )
+
+
+class TestSubsetOperationsAgainstLoops:
+    """Covers and retracts of the fixtures and the stock against the per-element loops."""
+
+    @staticmethod
+    def _groups(fixtures, hg_stock):
+        for name, group in list(fixtures.items()) + hg_stock:
+            for a in range(group.order):
+                yield (name, "cover", a), P.covering_group(group, a).group
+                yield (name, "retract", a), P.retract(group, a)
+
+    def test_generators_orders_and_quotients(self, fixtures, hg_stock):
+        for key, group in self._groups(fixtures, hg_stock):
+            assert group.generating_set() == oracle.generating_set_by_frontier(group), key
+            assert group.element_orders == tuple(
+                oracle.element_order_by_loop(group, x) for x in range(group.order)), key
+            derived = commutator_subgroup(group)
+            assert derived == oracle.closure_by_frontier(group, oracle.commutators_by_loops(group))
+            quot, blocks = group.quotient(derived)
+            table, want = oracle.binary_quotient_by_loops(group, derived)
+            assert blocks == want and np.array_equal(quot.table, table), key
+
+    def test_characters(self, fixtures, hg_stock):
+        for key, group in self._groups(fixtures, hg_stock):
+            quot, blocks = group.quotient(commutator_subgroup(group))
+            got = P.abelian_characters(quot)
+            want = oracle.abelian_characters_by_propagation(quot)
+            assert got.shape == want.shape, key
+            # the rows agree as sets; the order may differ where the loop's products
+            # carried a -0 imaginary part into the sort key
+            def canonical(chars):
+                keys = [str(row) for row in (np.round(chars, 6) + 0).tolist()]
+                return chars[sorted(range(len(keys)), key=keys.__getitem__)]
+            assert np.abs(canonical(got) - canonical(want)).max() < 1e-9, key

@@ -4,7 +4,7 @@ import pytest
 
 import polyadic as P
 from conftest import A3, TRANSPOSITIONS, z2_4_ternary
-from oracle import is_normal_by_eval, powerset_subgroups
+from oracle import cosets_by_loops, is_normal_by_eval, powerset_subgroups
 
 
 class TestSubgroups:
@@ -77,6 +77,14 @@ class TestNormality:
 
 
 class TestCosets:
+    def test_equal_the_loop(self, fixtures, hg_stock):
+        for name, group in list(fixtures.items()) + hg_stock:
+            for sub in P.subgroups(group):
+                part = P.cosets(group, sub)
+                assert part.blocks == cosets_by_loops(group, sub), (name, sub)
+                for i, blk in enumerate(part.blocks):
+                    assert all(part.block_of(x) == i for x in blk)
+
     def test_s3t_mod_a3(self, s3t):
         part = P.cosets(s3t, A3)
         assert part.blocks == (A3, TRANSPOSITIONS)
