@@ -16,7 +16,7 @@ import numpy as np
 from .core import NaryGroup, homomorphism_certificate_rows, is_semiabelian
 from .errors import InvalidGroupError
 from .report import VerificationReport
-from .structure import Partition, SubgroupRef, verify_subgroup
+from .structure import Partition, SubgroupRef, _require_subgroup, verify_subgroup
 
 
 @dataclass(frozen=True)
@@ -81,22 +81,22 @@ def canonical_action(group: NaryGroup) -> Action:
 
 
 def orbits(act: Action) -> Partition:
-    """Union-find over all (element, point) pairs; blocks keyed by least member."""
-    parent = list(range(act.npoints))
+    """Components of the graph joining a to x.a; blocks keyed by least member.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for x in range(act.group.order):
-        for a in range(act.npoints):
-            ra, rb = find(a), find(act.apply(x, a))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    roots = [find(a) for a in range(act.npoints)]   # the least member of each orbit
-    return Partition.from_index(np.unique(roots, return_inverse=True)[1].reshape(-1))
+    Label propagation: each round lowers every label to the least label of
+    its images (pull) and sources (push, ``np.minimum.at``), then to its
+    label's label.  Labels only fall and stay in their component, so the fixed
+    point is each component's least member, for non-bijective tables too.
+    """
+    t = act.table
+    labels = np.arange(act.npoints)
+    while True:
+        new = np.minimum(labels, labels[t].min(axis=0))
+        np.minimum.at(new, t.reshape(-1), np.broadcast_to(labels, t.shape).reshape(-1))
+        new = new[new]
+        if np.array_equal(new, labels):
+            return Partition.from_index(np.unique(labels, return_inverse=True)[1].reshape(-1))
+        labels = new
 
 
 def stabilizer(act: Action, a: int) -> SubgroupRef:
@@ -169,9 +169,7 @@ def conjugate_subgroup_closure(group: NaryGroup, subgroup: SubgroupRef) -> Subgr
     """All elements conjugate to members of the subgroup (semiabelian only)."""
     if not is_semiabelian(group):
         raise InvalidGroupError("conjugate closure requires a semiabelian group")
-    report = verify_subgroup(group, subgroup)
-    if not report.passed:
-        raise InvalidGroupError(f"not a subgroup: {report.first().axiom}")
+    _require_subgroup(group, subgroup)
     classes = conjugacy_classes(group)
     out: set[int] = set()
     for blk in classes.blocks:

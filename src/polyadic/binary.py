@@ -1,11 +1,13 @@
 """Ordinary finite groups on dense Cayley tables.
 
 Retracts and covering groups of polyadic groups are values of
-:class:`BinaryGroup`.  Construction always verifies the group axioms eagerly
-(the O(m^3) cost is acceptable at desk scale).  The module also carries the
-small-group machinery the rest of the package leans on: closure, centers,
-quotients, automorphisms, isomorphism search by backtracking on generator
-images, and character enumeration for abelian groups.
+:class:`BinaryGroup`.  A table is verified (O(m^3)) where it enters the
+library; a table that a theorem makes a group, given a verified parent, is
+built unchecked: retracts (Dörnte), covers (Post), and the subgroups and
+quotients derived here.  The module also carries the small-group machinery
+the rest of the package leans on: closure, centers, quotients,
+automorphisms, isomorphism search by backtracking on generator images, and
+character enumeration for abelian groups.
 """
 
 from __future__ import annotations
@@ -25,16 +27,14 @@ ISO_ORDER_LIMIT = 64
 def verify_binary_table(table: np.ndarray) -> VerificationReport:
     """Check that an m x m index table is a group: identity, inverses, associativity."""
     table = np.asarray(table)
-    m = table.shape[0]
-    if table.shape != (m, m) or table.min() < 0 or table.max() >= m:
+    m = len(table) if table.ndim else 0
+    if not m or table.shape != (m, m) or table.min() < 0 or table.max() >= m:
         return VerificationReport.fail([("table-shape", ())])
     failures = []
-    rng = np.arange(m)
-    ident = [e for e in range(m) if np.array_equal(table[e], rng) and np.array_equal(table[:, e], rng)]
-    if not ident:
+    e = _identity(table)
+    if e is None:
         failures.append(("identity-missing", ()))
     else:
-        e = ident[0]
         for x in range(m):
             if not np.any(table[x] == e):
                 failures.append((f"inverse-missing(x={x})", (x,)))
@@ -48,6 +48,13 @@ def verify_binary_table(table: np.ndarray) -> VerificationReport:
     if failures:
         return VerificationReport.fail(failures, checked=checked)
     return VerificationReport.ok(checked=checked)
+
+
+def _identity(table: np.ndarray) -> int | None:
+    """The first two-sided identity of a square table, or None."""
+    r = np.arange(len(table))
+    hits = np.flatnonzero((table == r).all(1) & (table.T == r).all(1))
+    return int(hits[0]) if hits.size else None
 
 
 def close(table: np.ndarray, inverse: np.ndarray, elems) -> tuple[int, ...]:
@@ -98,21 +105,23 @@ def coset_partition(members: np.ndarray, size: int) -> tuple[np.ndarray, np.ndar
 
 
 class BinaryGroup:
-    """Finite group given by a Cayley table of element indices 0..m-1."""
+    """Finite group given by a Cayley table of element indices 0..m-1.
+
+    ``check`` verifies the table and keeps the report as ``report`` (a
+    failure raises, carrying it).  ``check=False`` is for tables that a
+    theorem makes a group, given a verified parent; ``report`` is then None.
+    """
 
     def __init__(self, table, check: bool = True):
         self.table = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
         self.order = self.table.shape[0]
-        if check:
-            report = verify_binary_table(self.table)
-            if not report.passed:
-                f = report.first()
-                raise InvalidGroupError(f"not a group: {f.axiom} witness={f.witness}")
-        rng = np.arange(self.order)
-        self.identity = next(
-            e for e in range(self.order)
-            if np.array_equal(self.table[e], rng) and np.array_equal(self.table[:, e], rng)
-        )
+        self.report = verify_binary_table(self.table) if check else None
+        if check and not self.report.passed:
+            f = self.report.first()
+            raise InvalidGroupError(f"not a group: {f.axiom} witness={f.witness}", self.report)
+        self.identity = _identity(self.table)
+        if self.identity is None:
+            raise InvalidGroupError("not a group: identity-missing witness=()")
         self.inverse = np.argmax(self.table == self.identity, axis=1)
 
     def mul(self, a: int, b: int) -> int:
@@ -208,7 +217,11 @@ class BinaryGroup:
         return bool(mask[self.table[self.table[:, e], self.inverse[:, None]]].all())
 
     def subgroup_group(self, elems) -> tuple["BinaryGroup", dict[int, int]]:
-        """The subgroup on ``elems`` as a standalone group, plus index map."""
+        """The subgroup on ``elems`` as a standalone group, plus index map.
+
+        A non-empty subset closed under the product of a finite group is a
+        subgroup, so once closure is checked the table needs no re-check.
+        """
         e = np.array(sorted({int(x) for x in elems}), dtype=np.int64)
         products = self.table[np.ix_(e, e)]
         pos = np.minimum(np.searchsorted(e, products), len(e) - 1)
@@ -216,17 +229,21 @@ class BinaryGroup:
         if bad.size:
             i, j = bad[0]
             raise InvalidGroupError(f"set not closed: {e[i]}*{e[j]}={products[i, j]}")
-        return BinaryGroup(pos), {int(x): i for i, x in enumerate(e)}
+        return BinaryGroup(pos, check=False), {int(x): i for i, x in enumerate(e)}
 
     def quotient(self, normal) -> tuple["BinaryGroup", tuple[tuple[int, ...], ...]]:
-        """Quotient by a normal subgroup; blocks sorted by least member."""
+        """Quotient by a normal subgroup; blocks sorted by least member.
+
+        Normality and the coset partition are checked; the quotient of a
+        group by a normal subgroup is a group, so its table is not re-checked.
+        """
         h = sorted(int(x) for x in normal)
         if not self.is_normal_subgroup(h):
             raise InvalidGroupError("quotient requires a normal subgroup")
         blocks, index = coset_partition(self.table[:, h], len(h))
         reps = blocks[:, 0]
         table = index[self.table[np.ix_(reps, reps)]]
-        return BinaryGroup(table), tuple(tuple(b) for b in blocks.tolist())
+        return BinaryGroup(table, check=False), tuple(tuple(b) for b in blocks.tolist())
 
     def __eq__(self, other):
         return isinstance(other, BinaryGroup) and np.array_equal(self.table, other.table)

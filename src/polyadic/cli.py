@@ -24,7 +24,6 @@ from .rep import character, kernel, kernel_chi, one_dim_reps, orthogonality_chec
 from .report import VerificationReport
 from .retract import hg_decompose, retract
 from .structure import classify_simplicity, is_normal, quotient, subgroups
-from .binary import verify_binary_table
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -53,12 +52,13 @@ def cmd_verify(args) -> int:
         group = load_group(args.path)
     except InvalidGroupError as exc:
         # structurally valid file, mathematically broken (binary or hg kinds
-        # verify on construction): report the failure rather than erroring
-        report = VerificationReport.fail([(str(exc), ())])
+        # verify on construction): report the failure rather than erroring,
+        # with a binary table's own report when there is one
+        report = exc.report or VerificationReport.fail([(str(exc), ())])
         emit(report.to_dict())
         return FAIL
     if isinstance(group, BinaryGroup):
-        report = verify_binary_table(group.table)
+        report = group.report
     else:
         report = verify_nary_group(group, budget=args.budget)
     emit(report.to_dict())

@@ -53,14 +53,15 @@ class CoveringGroup:
 
 
 def covering_group(group: NaryGroup, a: int) -> CoveringGroup:
-    """Build and fully verify the smallest covering group at anchor a.
+    """Build the smallest covering group at anchor a of a verified n-ary group.
 
     Each (r, s) block of the table holds the m^2 products <x,r> * <y,s>.
     Their sequence x, a^r, y, a^s, skew(a), a^(n-2-r*s) has length n or
     2n-1, so a block is one left fold of ``eval_batch`` over its m^2 (x, y)
-    rows: one call for length n, two for 2n-1.  The table is then checked
-    to be a group, and its identity must be <skew(a), n-2>; a failure of
-    either raises.  The closed-form inverse
+    rows: one call for length n, two for 2n-1.  The table is a group by
+    Post's theorem ("Polyadic groups", 1940), so it is not re-checked; its
+    identity must be <skew(a), n-2>, or the build raises.  The closed-form
+    inverse
     ``<fold(skew(a), a^(n-2-t), skew(x), x^(n-3), skew(a), a^(n-2-k)), k>``
     with ``k = (n-3-t) mod (n-1)`` is proved equal to the table's inverse by
     the tests (``tests/oracle.py``), not here.
@@ -85,7 +86,7 @@ def covering_group(group: NaryGroup, a: int) -> CoveringGroup:
                 acc = group.eval_batch(rows[:, n - 1:])
             table[:, r, :, s] = (acc * period + rs).reshape(m, m)
     size = m * period
-    cover = BinaryGroup(table.reshape(size, size))  # raises on any group-axiom failure
+    cover = BinaryGroup(table.reshape(size, size), check=False)
     if cover.identity != abar * period + (n - 2):
         raise InvalidGroupError(
             f"cover identity is {cover.identity}, expected pair ({abar},{n - 2})"

@@ -6,7 +6,13 @@ class PolyadicError(Exception):
 
 
 class InvalidGroupError(PolyadicError):
-    """A structure failed verification where a verified one was required."""
+    """A structure failed verification where a verified one was required.
+
+    ``report`` is the failing verification report, if one was made."""
+
+    def __init__(self, message: str = "", report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class SizeLimitError(PolyadicError):

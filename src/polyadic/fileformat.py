@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binary import BinaryGroup, HGData, verify_binary_table
+from .binary import BinaryGroup, HGData
 from .core import NaryGroup
 from .errors import InvalidGroupError, ParseError
 
@@ -36,8 +36,8 @@ def _are_indices(values, m: int) -> bool:
 
 def group_from_dict(doc: dict) -> NaryGroup | BinaryGroup:
     """Parse a group document; structural validation only, no axiom checks
-    beyond what construction itself enforces (binary groups verify eagerly,
-    once)."""
+    beyond what construction itself enforces (a binary table is verified
+    once, on construction; a failure carries its report)."""
     _require(isinstance(doc, dict), "group document must be an object")
     kind = doc.get("kind")
     _require(kind in ("dense", "hg", "binary"), f"unknown kind {kind!r}")
@@ -55,11 +55,10 @@ def group_from_dict(doc: dict) -> NaryGroup | BinaryGroup:
         table = doc.get("table")
         _require(isinstance(table, list) and len(table) == m * m, f"binary table needs {m * m} entries")
         _require(_are_indices(table, m), "table entries must be element indices")
-        table = np.array(table).reshape(m, m)
-        report = verify_binary_table(table)
-        if not report.passed:
-            raise InvalidGroupError(f"not a group: {report.first().axiom}")
-        return BinaryGroup(table, check=False)
+        try:
+            return BinaryGroup(np.array(table).reshape(m, m))
+        except InvalidGroupError as exc:
+            raise InvalidGroupError(f"not a group: {exc.report.first().axiom}", exc.report) from None
     arity = doc.get("arity")
     _require(type(arity) is int and arity >= 3, "arity must be an integer >= 3")
     if kind == "dense":
@@ -69,7 +68,10 @@ def group_from_dict(doc: dict) -> NaryGroup | BinaryGroup:
         return NaryGroup(arity, m, table=np.array(table, dtype=np.int64), labels=labels)
     inner = doc.get("group")
     _require(isinstance(inner, dict) and inner.get("kind") == "binary", "hg documents embed a binary group")
-    base = group_from_dict(inner)
+    try:
+        base = group_from_dict(inner)
+    except InvalidGroupError as exc:   # the hg document fails, not a binary one: no table report
+        raise InvalidGroupError(str(exc)) from None
     _require(base.order == m, "embedded group order mismatch")
     phi = doc.get("phi")
     _require(isinstance(phi, list) and len(phi) == m, "phi must be a permutation list")

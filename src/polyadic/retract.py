@@ -24,12 +24,14 @@ def retract(group: NaryGroup, a: int) -> BinaryGroup:
     """The binary group x*y = f(x, a,...,a, y) with n-2 anchor copies.
 
     Built from :func:`~polyadic.core.retract_table`, so no m^n table is
-    needed.  The identity must be the skew of a, and the inverse must match
+    needed.  Every retract of a verified n-ary group is a group (Dörnte
+    1928), so the table is not re-checked.  The identity must be the skew
+    of a, and the inverse must match
     ``x^-1 = f(skew(a), x^(n-3), skew(x), skew(a))``; both are checked.
     """
     group.require_verified()
     m, n, a = group.order, group.arity, int(a)
-    ret = BinaryGroup(retract_table(group, a))
+    ret = BinaryGroup(retract_table(group, a), check=False)
     abar = group.skew(a)
     if ret.identity != abar:
         raise InvalidGroupError(

@@ -30,17 +30,16 @@ def verify_subgroup(group: NaryGroup, elems) -> VerificationReport:
     elems = sorted({int(x) for x in elems})
     if not elems:
         return VerificationReport.fail([("subgroup-empty", ())])
-    s = set(elems)
+    mask = np.zeros(group.order, dtype=bool)
+    mask[elems] = True
     failures = []
-    sub = group.dense()[np.ix_(*([elems] * group.arity))]
-    inside = np.isin(sub, elems)
+    inside = mask[group.dense()[np.ix_(*([elems] * group.arity))]]
     if not inside.all():
         pos = np.argwhere(~inside)[0]
         failures.append(("subgroup-closure", tuple(elems[int(i)] for i in pos)))
-    for x in elems:
-        if group.skew(x) not in s:
-            failures.append(("subgroup-skew", (x,)))
-            break
+    outside = np.flatnonzero(~mask[group.skew_table()[elems]])
+    if outside.size:
+        failures.append(("subgroup-skew", (elems[outside[0]],)))
     if failures:
         return VerificationReport.fail(failures)
     return VerificationReport.ok(checked=len(elems) ** group.arity + len(elems))
@@ -93,11 +92,20 @@ def subgroups(group: NaryGroup) -> list[SubgroupRef]:
     return sorted(found)
 
 
-def is_normal(group: NaryGroup, subgroup: SubgroupRef) -> bool:
-    """f(a^(n-3), skew(a), h, a) stays in the subgroup for all h, a."""
+def _require_subgroup(group: NaryGroup, subgroup: SubgroupRef) -> None:
     report = verify_subgroup(group, subgroup)
     if not report.passed:
         raise InvalidGroupError(f"not a subgroup: {report.first().axiom}")
+
+
+def is_normal(group: NaryGroup, subgroup: SubgroupRef) -> bool:
+    """f(a^(n-3), skew(a), h, a) stays in the subgroup for all h, a."""
+    _require_subgroup(group, subgroup)
+    return _is_normal(group, subgroup)
+
+
+def _is_normal(group: NaryGroup, subgroup: SubgroupRef) -> bool:
+    """:func:`is_normal` for a subgroup already verified."""
     n, m = group.arity, group.order
     inside = np.zeros(m, dtype=bool)
     inside[list(subgroup)] = True
@@ -141,9 +149,12 @@ def cosets(group: NaryGroup, subgroup: SubgroupRef) -> Partition:
     One ``eval_batch`` over the rows (a, x^(n-2), y) gives the member matrix
     that :func:`~polyadic.binary.coset_partition` checks and turns into blocks.
     """
-    report = verify_subgroup(group, subgroup)
-    if not report.passed:
-        raise InvalidGroupError(f"not a subgroup: {report.first().axiom}")
+    _require_subgroup(group, subgroup)
+    return _cosets(group, subgroup)
+
+
+def _cosets(group: NaryGroup, subgroup: SubgroupRef) -> Partition:
+    """:func:`cosets` of a subgroup already verified."""
     n, m = group.arity, group.order
     h = np.array(sorted(subgroup), dtype=np.int64)
     rows = np.empty((m, len(h), len(h), n), dtype=np.int64)
@@ -176,11 +187,12 @@ def quotient(group: NaryGroup, subgroup: SubgroupRef) -> QuotientGroup:
     """Blockwise operation f_H(a1 H, ..., an H) = f(a1..an) H for normal H.
 
     Well-definedness is checked exhaustively: the block of f must be constant
-    across every choice of representatives.
+    across every choice of representatives.  The subgroup is verified once,
+    by :func:`is_normal`.
     """
     if not is_normal(group, subgroup):
         raise InvalidGroupError(f"{subgroup} is not a normal subgroup")
-    part = cosets(group, subgroup)
+    part = _cosets(group, subgroup)
     n, cls = group.arity, part.index
     q = len(part.blocks)
     reps = np.array(part.representatives)
@@ -252,7 +264,7 @@ def classify_simplicity(group: NaryGroup) -> SimplicityReport:
     group.require_verified()
     m = group.order
     all_subs = subgroups(group)
-    normals = tuple(h for h in all_subs if is_normal(group, h))
+    normals = tuple(h for h in all_subs if _is_normal(group, h))   # subgroups() returns closures
     proper = tuple(h for h in normals if len(h) >= 2 and len(h) < m)
     if proper:
         return SimplicityReport(HAS_PROPER_NORMAL, normals, proper)

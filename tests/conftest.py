@@ -127,6 +127,22 @@ def random_hg_stock(count=20, seed=P.SAMPLE_SEED):
     return stock
 
 
+@pytest.fixture()
+def verify_subgroup_calls(monkeypatch):
+    """Route ``verify_subgroup`` through a counter wherever it is bound; the list of calls."""
+    import polyadic.rep
+    import polyadic.structure
+    calls, real = [], polyadic.structure.verify_subgroup
+
+    def counting(group, elems):
+        calls.append(tuple(elems))
+        return real(group, elems)
+
+    for module in (polyadic.structure, polyadic.rep):
+        monkeypatch.setattr(module, "verify_subgroup", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def hg_stock():
     return random_hg_stock()

@@ -24,10 +24,18 @@ The subset oracles are the loops of the binary and n-ary subset operations:
 member by member, ``abelian_characters_by_propagation`` propagates roots of
 unity through products, ``conjugation_congruence_by_dict`` walks every tuple
 with a dict, and ``skew_by_element`` solves for one skew at a time.
+
+The last oracles are routes the library once ran beside its own answer:
+``orbits_by_union_find`` joins points one (element, point) pair at a time,
+``first_skew_outside`` walks a subset's skews, ``lift_criterion_by_eval``
+tests the inner-tuple lift criterion one ``eval`` per tuple (with the ternary
+skew criterion cross-checked), and ``hat_char_by_eval`` and
+``kernel_by_element`` evaluate one element at a time.
 """
 
 import itertools
 import re
+from functools import reduce
 
 import numpy as np
 
@@ -484,3 +492,62 @@ def skew_by_element(group, x):
     if group.eval((x,) * (n - 1) + (z,)) != x:
         raise P.InvalidGroupError(f"skew closed form failed at {x}")
     return z
+
+
+def orbits_by_union_find(act):
+    """Orbit blocks by union-find over every (element, point) pair, keyed by least member."""
+    parent = list(range(act.npoints))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for x in range(act.group.order):
+        for a in range(act.npoints):
+            ra, rb = find(a), find(act.apply(x, a))
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    blocks = {}
+    for a in range(act.npoints):
+        blocks.setdefault(find(a), []).append(a)
+    return tuple(tuple(b) for b in sorted(blocks.values()))
+
+
+def first_skew_outside(group, elems):
+    """The first member of sorted ``elems`` whose skew is not a member, else None."""
+    s = {int(x) for x in elems}
+    return next((x for x in sorted(s) if group.skew(x) not in s), None)
+
+
+def lift_criterion_by_eval(group, gamma, e):
+    """G(f(skew(e), x2..x(n-1), skew(e))) = G(x2)...G(x(n-1)) on every inner tuple.
+
+    For n = 3 the ternary criterion G(skew(x)) = G(x)^-1 must give the same answer.
+    """
+    n, m, images = group.arity, group.order, gamma.images
+    tol = gamma.eps * 10
+    ebar = group.skew(e)
+    ok = all(
+        np.abs(images[group.eval((ebar,) + xs + (ebar,))]
+               - reduce(np.matmul, [images[x] for x in xs])).max() <= tol
+        for xs in itertools.product(range(m), repeat=n - 2))
+    if n == 3:
+        skew_ok = all(np.abs(images[group.skew(x)] - np.linalg.inv(images[x])).max() <= tol
+                      for x in range(m))
+        assert skew_ok == ok, "ternary skew criterion disagrees with the inner-tuple one"
+    return ok
+
+
+def hat_char_by_eval(char, e, p):
+    """chi(f(e^(n-2), x, skew(p))), one ``eval`` per x."""
+    g = char.group
+    return char.values[[g.eval((e,) * (g.arity - 2) + (x, g.skew(p))) for x in range(g.order)]]
+
+
+def kernel_by_element(rep):
+    """{x : L(x) = id}, one matrix compare per element."""
+    eye = np.eye(rep.dim)
+    return tuple(x for x in range(rep.group.order)
+                 if np.abs(rep.images[x] - eye).max() <= rep.eps)

@@ -26,6 +26,24 @@ def brute_orbits(act):
     return tuple(sorted(blocks))
 
 
+def mutants(table):
+    """The table, then every bijective mutation: two entries of one row swapped,
+    or one row copied over another."""
+    m = len(table)
+    out = [table]
+    for x in range(m):
+        for p, q in itertools.combinations(range(table.shape[1]), 2):
+            t = table.copy()
+            t[x, [p, q]] = t[x, [q, p]]
+            out.append(t)
+        for y in range(m):
+            if y != x:
+                t = table.copy()
+                t[x] = table[y]
+                out.append(t)
+    return out
+
+
 class TestCanonicalAction:
     def test_s3t_is_conjugation(self, s3, s3t):
         act = P.canonical_action(s3t)
@@ -87,21 +105,8 @@ class TestVerifyAction:
         # of one row swapped, or one row copied over another
         agreed = passing = 0
         for name, group in list(fixtures.items()) + hg_stock:
-            table = P.canonical_action(group).table
-            m = group.order
-            mutants = [table]
-            for x in range(m):
-                for p, q in itertools.combinations(range(m), 2):
-                    t = table.copy()
-                    t[x, [p, q]] = t[x, [q, p]]
-                    mutants.append(t)
-                for y in range(m):
-                    if y != x:
-                        t = table.copy()
-                        t[x] = table[y]
-                        mutants.append(t)
-            for t in mutants:
-                act = P.Action(group, m, t)
+            for t in mutants(P.canonical_action(group).table):
+                act = P.Action(group, group.order, t)
                 report, scan = P.verify_action(act), oracle.exhaustive_action_scan(act)
                 assert report.passed == scan.passed, name
                 axioms = [f.axiom for f in report.failures]
@@ -145,6 +150,27 @@ class TestOrbits:
         for name, group in fixtures.items():
             act = P.canonical_action(group)
             assert P.orbits(act).blocks == brute_orbits(act), name
+
+    def test_label_propagation_equals_union_find(self, fixtures, hg_stock):
+        split = 0
+        for name, group in list(fixtures.items()) + hg_stock:
+            for t in mutants(P.canonical_action(group).table):
+                act = P.Action(group, group.order, t)
+                blocks = P.orbits(act).blocks
+                assert blocks == oracle.orbits_by_union_find(act) == brute_orbits(act), name
+                split += len(blocks) > 1
+        assert split > 100
+
+    def test_non_bijective_actions_equal_union_find(self, fixtures):
+        # components of the graph a -- x.a; the reachability oracle needs bijections
+        rng = np.random.default_rng(7)
+        for name, group in fixtures.items():
+            for npoints in (1, 3, 9):
+                for _ in range(20):
+                    t = rng.integers(0, npoints, size=(group.order, npoints))
+                    t[:, rng.integers(npoints)] = rng.integers(npoints)   # one column constant
+                    act = P.Action(group, npoints, t)
+                    assert P.orbits(act).blocks == oracle.orbits_by_union_find(act), (name, t)
 
     def test_blocks_partition(self, fixtures):
         for group in fixtures.values():

@@ -16,6 +16,25 @@ def test_verify_binary_table_rejects_non_group():
     assert not P.verify_binary_table(bad).passed
 
 
+def test_unchecked_table_without_identity_rejected():
+    with pytest.raises(P.InvalidGroupError, match="identity-missing"):
+        P.BinaryGroup(np.zeros((2, 2), dtype=int), check=False)
+
+
+def test_empty_table_is_a_shape_failure():
+    report = P.verify_binary_table(np.zeros((0, 0), dtype=int))
+    assert not report.passed and report.first().axiom == "table-shape"
+
+
+def test_identity_must_be_two_sided():
+    left_only = np.array([[0, 1], [0, 1]])     # both rows are the identity row
+    assert P.verify_binary_table(left_only).first().axiom == "identity-missing"
+    with pytest.raises(P.InvalidGroupError, match="identity-missing"):
+        P.BinaryGroup(left_only, check=False)
+    idx = np.arange(3)
+    assert P.BinaryGroup((idx[:, None] + idx + 1) % 3, check=False).identity == 2
+
+
 def test_group_basics():
     z6 = P.cyclic_group(6)
     assert z6.identity == 0
@@ -190,6 +209,17 @@ def test_subgroup_tables_and_quotients_equal_the_loops():
             else:
                 with pytest.raises(P.InvalidGroupError, match="normal"):
                     group.quotient(elems)
+
+
+def test_derived_subgroups_and_quotients_are_groups():
+    # built unchecked: closure (resp. normality and cosets) makes them groups
+    for name, group in SMALL.items():
+        for elems in _subsets(group.order):
+            sub, normal = oracle.binary_subgroup_by_loops(group, elems)
+            if sub:
+                assert P.verify_binary_table(group.subgroup_group(elems)[0].table).passed
+            if normal:
+                assert P.verify_binary_table(group.quotient(elems)[0].table).passed, (name, elems)
 
 
 def test_characters_equal_the_propagation_search():

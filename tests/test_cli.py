@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import polyadic as P
@@ -239,9 +240,10 @@ class TestFileFormat:
         save_group(labelled, path)
         assert load_group(path).labels == ("e", "a")
 
-    def test_binary_document_verified_once(self, tmp_path, monkeypatch):
+    def test_binary_document_verified_once(self, tmp_path, monkeypatch, capsys):
+        # the parser checks a binary table through BinaryGroup's one check,
+        # and `verify` reports from that load instead of checking again
         import polyadic.binary
-        import polyadic.fileformat
         path = tmp_path / "z4.json"
         save_group(P.cyclic_group(4), path)
         calls = []
@@ -251,9 +253,32 @@ class TestFileFormat:
             return P.verify_binary_table(table)
 
         monkeypatch.setattr(polyadic.binary, "verify_binary_table", counting)
-        monkeypatch.setattr(polyadic.fileformat, "verify_binary_table", counting)
         assert load_group(path).order == 4
         assert calls == [(4, 4)]
+        code, out = run(capsys, "verify", str(path))
+        assert code == 0 and calls == [(4, 4)] * 2
+        assert json.loads(out) == P.verify_binary_table(P.cyclic_group(4).table).to_dict()
+
+    def test_failing_binary_document_reports_the_table_check(self, tmp_path, capsys):
+        table = [0, 1, 2, 1, 2, 0, 2, 1, 0]    # Latin with identity 0, not associative
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps({"arity": 2, "order": 3, "kind": "binary", "table": table}))
+        code, out = run(capsys, "verify", str(path))
+        want = P.verify_binary_table(np.array(table).reshape(3, 3))
+        assert code == 1 and json.loads(out) == want.to_dict()
+        assert want.failures[0] == ("associativity", (1, 1, 1)) and want.checked == 27
+        with pytest.raises(P.InvalidGroupError, match="^not a group: associativity$"):
+            load_group(path)
+
+    def test_hg_document_with_failing_group_keeps_its_message(self, tmp_path, capsys):
+        loop = {"arity": 2, "order": 3, "kind": "binary", "table": [0, 1, 2, 1, 2, 0, 2, 1, 0]}
+        path = tmp_path / "hg_loop.json"
+        path.write_text(json.dumps({"arity": 3, "order": 3, "kind": "hg", "group": loop,
+                                    "phi": [0, 1, 2], "b": 0}))
+        code, out = run(capsys, "verify", str(path))
+        doc = json.loads(out)
+        assert code == 1 and doc["checked"] == 0
+        assert doc["failures"] == [{"axiom": "not a group: associativity", "witness": []}]
 
     def test_bad_phi_rejected(self, tmp_path):
         doc = {

@@ -7,7 +7,7 @@ import pytest
 
 import oracle
 import polyadic as P
-from polyadic.binary import commutator_subgroup
+from polyadic.binary import commutator_subgroup, linear_characters
 
 
 class TestCoveringGroup:
@@ -265,3 +265,35 @@ class TestSubsetOperationsAgainstLoops:
                 keys = [str(row) for row in (np.round(chars, 6) + 0).tolist()]
                 return chars[sorted(range(len(keys)), key=keys.__getitem__)]
             assert np.abs(canonical(got) - canonical(want)).max() < 1e-9, key
+
+
+class TestDerivedGroupsBuiltUnchecked:
+    """Retracts (Dörnte), covers (Post) and their quotients are built with ``check=False``."""
+
+    def test_the_table_check_passes_on_every_one(self, fixtures, hg_stock):
+        for name, group in list(fixtures.items()) + hg_stock:
+            for a in range(group.order):
+                assert P.verify_binary_table(P.retract(group, a).table).passed, (name, a)
+                cov = P.covering_group(group, a)
+                assert P.verify_binary_table(cov.group.table).passed, (name, a)
+                for normal in (P.cover_H(cov), commutator_subgroup(cov.group), cov.group.center):
+                    quot, _ = cov.group.quotient(normal)
+                    assert P.verify_binary_table(quot.table).passed, (name, a, normal)
+
+    def test_no_table_check_once_the_group_is_verified(self, fixtures, hg_stock, monkeypatch):
+        import polyadic.binary
+        groups = list(fixtures.values()) + [group for _, group in hg_stock]
+        for group in groups:
+            group.require_verified()
+        calls = []
+        real = P.verify_binary_table
+        monkeypatch.setattr(polyadic.binary, "verify_binary_table",
+                            lambda table: calls.append(table.shape) or real(table))
+        for group in groups:
+            a = group.order - 1
+            P.retract(group, a)
+            P.hg_decompose(group, a)
+            cov = P.covering_group(group, a)
+            P.one_dim_reps(group)
+            linear_characters(cov.group)
+        assert calls == []

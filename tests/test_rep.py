@@ -7,6 +7,7 @@ import pytest
 
 import oracle
 import polyadic as P
+from polyadic.binary import linear_characters
 from conftest import A3, SIGN, TRANSPOSITIONS, s3_two_dim
 
 
@@ -151,6 +152,23 @@ class TestKernel:
                 assert P.kernel(rep) == P.kernel_chi(P.character(rep))
         assert P.kernel(sign_rep) == P.kernel_chi(P.character(sign_rep))
 
+    def test_one_compare_equals_the_loop(self, fixtures, hg_stock, sign_rep):
+        reps = [rep for _, group in list(fixtures.items()) + hg_stock
+                for rep in P.one_dim_reps(group)]
+        for rep in reps + [sign_rep]:
+            assert P.kernel(rep) == oracle.kernel_by_element(rep)
+
+    def test_subgroup_verified_once_and_no_classes(self, sign_rep, verify_subgroup_calls,
+                                                   monkeypatch):
+        import polyadic.rep
+
+        def refuse(group):
+            raise AssertionError("conjugacy classes computed")
+
+        monkeypatch.setattr(polyadic.rep, "conjugacy_classes", refuse)
+        assert P.kernel(sign_rep) == A3
+        assert verify_subgroup_calls == [A3]
+
     def test_kernels_are_normal_subgroups(self, fixtures):
         for group in fixtures.values():
             for rep in P.one_dim_reps(group):
@@ -185,6 +203,15 @@ class TestHatTransfer:
                     for p in kernel_elems:
                         assert np.abs(P.hat_char(char, e, p) - traces).max() < 1e-9
 
+    def test_hat_char_equals_the_loop(self, fixtures, hg_stock):
+        for name, group in list(fixtures.items()) + hg_stock:
+            for rep in P.one_dim_reps(group):
+                char = P.character(rep)
+                p = P.kernel_chi(char)[0]
+                for e in range(group.order):
+                    want = oracle.hat_char_by_eval(char, e, p)
+                    assert np.array_equal(P.hat_char(char, e, p), want), (name, e)
+
     def test_hat_char_requires_kernel_element(self, t2):
         rep = P.build_representation(t2, one_dim([1, -1]))
         with pytest.raises(P.InvalidGroupError, match="kernel"):
@@ -213,6 +240,36 @@ class TestLiftFromRetract:
         lifted = P.lift_from_retract(s3t, std, 0)
         assert lifted is not None and lifted.dim == 2
         assert P.verify_representation(s3t, lifted.images).passed
+
+    def test_equals_the_inner_tuple_loop(self, fixtures, hg_stock):
+        # every 1-dim character of every retract, at every anchor
+        count = lifted_count = 0
+        for name, group in list(fixtures.items()) + hg_stock:
+            for e in range(group.order):
+                ret = P.retract(group, e)
+                for row in linear_characters(ret):
+                    gamma = P.BinaryRepresentation(ret, one_dim(row))
+                    lifted = P.lift_from_retract(group, gamma, e)
+                    assert (lifted is not None) == oracle.lift_criterion_by_eval(group, gamma, e), \
+                        (name, e, row)
+                    if lifted is not None:
+                        assert np.array_equal(lifted.images, gamma.images)
+                    count += 1
+                    lifted_count += lifted is not None
+        assert 0 < lifted_count < count
+
+    def test_two_dim_equals_the_inner_tuple_loop(self, s3t):
+        # x -> rho(x) rho(e) is a representation of the retract x.y = x e y of derived S3
+        # it lifts iff rho(e) is a central involution: rho is faithful and
+        # irreducible, so only at the identity
+        rho, lifts = s3_two_dim(), set()
+        for e in range(6):
+            gamma = P.BinaryRepresentation(P.retract(s3t, e), rho @ rho[e])
+            lifted = P.lift_from_retract(s3t, gamma, e)
+            assert oracle.lift_criterion_by_eval(s3t, gamma, e) == (lifted is not None), e
+            if lifted is not None:
+                lifts.add(e)
+        assert lifts == {0}
 
     def test_wrong_retract_rejected(self, z4m, t2):
         gamma = P.BinaryRepresentation(P.retract(t2, 0), one_dim([1, 1]))
@@ -397,10 +454,12 @@ class TestTernaryMinusClassification:
                 assert np.abs(char * char - 1).max() < 1e-9
 
     def test_klein_base(self):
+        # the sign-times-character set is the cover enumeration
         klein = P.direct_product(P.cyclic_group(2), P.cyclic_group(2))
-        result = P.classify_ternary_minus(klein)
-        got = P.value_vector_set(rep for _, _, rep in result.valid)
-        assert got == P.value_vector_set(P.one_dim_reps(result.group))
+        for base in [klein] + [P.cyclic_group(m) for m in (2, 3, 4, 6)]:
+            result = P.classify_ternary_minus(base)
+            got = P.value_vector_set(rep for _, _, rep in result.valid)
+            assert got == P.value_vector_set(P.one_dim_reps(result.group)), base
 
     def test_nonabelian_rejected(self):
         with pytest.raises(P.InvalidGroupError, match="abelian"):

@@ -4,7 +4,7 @@ import pytest
 
 import polyadic as P
 from conftest import A3, TRANSPOSITIONS, z2_4_ternary
-from oracle import cosets_by_loops, is_normal_by_eval, powerset_subgroups
+from oracle import cosets_by_loops, first_skew_outside, is_normal_by_eval, powerset_subgroups
 
 
 class TestSubgroups:
@@ -29,6 +29,16 @@ class TestSubgroups:
         assert not report.passed
         assert report.first().axiom == "subgroup-closure"
         assert not P.verify_subgroup(s3t, ()).passed
+
+    def test_skew_witness_equals_the_loop(self, fixtures, hg_stock):
+        for name, group in list(fixtures.items()) + hg_stock:
+            m = group.order
+            for mask in range(1, 1 << m):
+                elems = [e for e in range(m) if mask >> e & 1]
+                report = P.verify_subgroup(group, elems)
+                got = [f.witness for f in report.failures if f.axiom == "subgroup-skew"]
+                want = first_skew_outside(group, elems)
+                assert got == ([] if want is None else [(want,)]), (name, elems)
 
     def test_closure_driven_search_matches_powerset(self, s3t):
         from polyadic.structure import subgroup_closure
@@ -128,6 +138,11 @@ class TestQuotient:
         with pytest.raises(P.InvalidGroupError, match="normal"):
             P.quotient(s3t, (0, 1))
 
+    def test_subgroup_verified_once(self, s3t, z4m, verify_subgroup_calls):
+        P.quotient(s3t, A3)
+        P.quotient(z4m, (0, 2))
+        assert verify_subgroup_calls == [A3, (0, 2)]
+
     def test_quotients_verify(self, fixtures):
         for group in fixtures.values():
             for sub in P.subgroups(group):
@@ -169,6 +184,11 @@ class TestClassify:
         result = P.classify_simplicity(group)
         assert result.case == "strongly-simple-candidate"
         assert result.normal_subgroups == ((0, 1, 2),)
+
+    def test_no_subgroup_reverified(self, fixtures, verify_subgroup_calls):
+        for group in fixtures.values():
+            P.classify_simplicity(group)
+        assert verify_subgroup_calls == []
 
     def test_derived_nonabelian_has_proper_normal(self):
         group = P.derived(P.quaternion_group(), 3)
