@@ -31,6 +31,15 @@ report = P.verify_representation(T2b, one_dim([1j, -1j]))
 print("T2b (i,-i):", report.passed, [f.axiom for f in report.failures])
 
 #%%
+# A Representation is a verified value: building one runs the same check and
+# refuses images that fail it, handing back the report.
+
+try:
+    P.Representation(T2b, one_dim([1j, -1j]))
+except P.InvalidGroupError as exc:
+    print("Representation(T2b, (i,-i)) refused:", exc.report == report)
+
+#%%
 # All 1-dim representations come from linear characters of a covering
 # group; an independent root-of-unity search returns the same sets.
 
@@ -52,7 +61,7 @@ print("valid sign*character pairs over Z4:", len(result.valid),
 # Characters are constant on conjugacy classes, and the kernel computed
 # from matrices agrees with the kernel computed from traces.
 
-sign = P.build_representation(S3T, one_dim([1, -1, -1, 1, 1, -1]))
+sign = P.Representation(S3T, one_dim([1, -1, -1, 1, 1, -1]))
 char = P.character(sign)
 print("sign character:", np.round(char.values.real, 1), " kernel:", P.kernel(sign))
 
@@ -94,7 +103,7 @@ while True:
     if abs(np.linalg.det(basis)) > 0.5:
         break
 diag = [np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)]
-rep = P.build_representation(T2, np.array([basis @ diag[x] @ np.linalg.inv(basis) for x in range(2)]))
+rep = P.Representation(T2, np.array([basis @ diag[x] @ np.linalg.inv(basis) for x in range(2)]))
 theta, complement = P.maschke_decompose(P.GModule(rep, 0), basis[:, :1])
 print("projector rank:", np.linalg.matrix_rank(theta, tol=1e-9),
       " complement dim:", complement.shape[1])

@@ -42,7 +42,7 @@ print("quotient reduces to the ordinary group of order", quot.retract_group().or
 # Representations with the subgroup inside their kernel factor through the
 # quotient, and pulling back returns the original images.
 
-sign = P.build_representation(S3T, np.array([1, -1, -1, 1, 1, -1], dtype=complex).reshape(6, 1, 1))
+sign = P.Representation(S3T, np.array([1, -1, -1, 1, 1, -1], dtype=complex).reshape(6, 1, 1))
 factored = P.factor_rep(sign, quot)
 print("factored images:", factored.images[:, 0, 0])
 print("round trip exact:", np.array_equal(P.pull_back_rep(quot, factored).images, sign.images))

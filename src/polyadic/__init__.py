@@ -80,7 +80,6 @@ from .rep import (
     GModule,
     Representation,
     TernaryMinusClassification,
-    build_representation,
     character,
     character_conjugation_rule,
     classify_ternary_minus,

@@ -110,10 +110,12 @@ class BinaryGroup:
     ``check`` verifies the table and keeps the report as ``report`` (a
     failure raises, carrying it).  ``check=False`` is for tables that a
     theorem makes a group, given a verified parent; ``report`` is then None.
+    The table is a read-only copy, so the report stays true of it.
     """
 
     def __init__(self, table, check: bool = True):
-        self.table = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
+        self.table = np.array(table, dtype=np.int64, order="C")
+        self.table.setflags(write=False)
         self.order = self.table.shape[0]
         self.report = verify_binary_table(self.table) if check else None
         if check and not self.report.passed:
@@ -438,7 +440,8 @@ class HGData:
 
     The invariants are the classical decomposition conditions: phi fixes b,
     and phi^(n-1) is conjugation by b; the n-ary operation is then
-    ``x1 * phi(x2) * phi^2(x3) * ... * phi^(n-1)(xn) * b``.
+    ``x1 * phi(x2) * phi^2(x3) * ... * phi^(n-1)(xn) * b``.  They are checked
+    on construction, and ``phi`` is kept as a read-only copy.
     """
 
     group: BinaryGroup
@@ -447,7 +450,9 @@ class HGData:
     arity: int
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", np.asarray(self.phi, dtype=np.int64))
+        phi = np.array(self.phi, dtype=np.int64)
+        phi.setflags(write=False)
+        object.__setattr__(self, "phi", phi)
         if self.arity < 3:
             raise InvalidGroupError("arity must be at least 3")
         if not is_automorphism(self.group, self.phi):

@@ -60,7 +60,7 @@ def cmd_verify(args) -> int:
     if isinstance(group, BinaryGroup):
         report = group.report
     else:
-        report = verify_nary_group(group, budget=args.budget)
+        report = verify_nary_group(group)
     emit(report.to_dict())
     return PASS if report.passed else FAIL
 
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=fn)
         return p
 
-    add("verify", cmd_verify, **{"--budget": {"type": int, "default": None}})
+    add("verify", cmd_verify)
     add("skew-table", cmd_skew_table)
     add("retract", cmd_retract, **{"--at": {"type": int, "required": True}})
     add("hg", cmd_hg, **{"--at": {"type": int, "required": True}})

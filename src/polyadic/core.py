@@ -13,9 +13,11 @@ axiom, (i,j)-associativity for all argument pairs and unique solvability at
 every place, as the exhaustive scan would report it.  The witnesses are
 searched for among the tuples and lines that read the difference set, the
 cells where the table leaves a valid decomposition; only when that search
-cannot run within the tuple budget do :func:`verify_associativity` and
-:func:`verify_quasigroup` scan, exhaustively within the budget and by
-deterministic sampling above it.
+cannot run within the fixed tuple budget ``DEFAULT_BUDGET`` do
+:func:`verify_associativity` and :func:`verify_quasigroup` scan, exhaustively
+within the budget and by deterministic sampling above it.  No argument,
+flag or environment variable changes the budget, so a verdict and its
+witnesses depend on the table alone.
 """
 
 from __future__ import annotations
@@ -26,14 +28,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .binary import BinaryGroup, HGData
+from .binary import BinaryGroup, HGData, verify_binary_table
 from .errors import InvalidGroupError, SizeLimitError
-from .report import (
-    SAMPLE_COUNT,
-    VerificationReport,
-    resolve_budget,
-    sample_tuples,
-)
+from .report import DEFAULT_BUDGET, SAMPLE_COUNT, VerificationReport, sample_tuples
 
 DENSE_LIMIT = 1 << 24
 _CHUNK_CELLS = 1 << 21
@@ -80,10 +77,6 @@ class NaryGroup:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def from_table(cls, arity: int, order: int, table, labels=None) -> "NaryGroup":
-        return cls(arity, order, table=table, labels=labels)
-
-    @classmethod
     def from_function(cls, arity: int, order: int, fn, labels=None) -> "NaryGroup":
         """Materialize ``fn(*xs) -> int`` into a dense table."""
         shape = (order,) * arity
@@ -126,23 +119,6 @@ class NaryGroup:
         for k in range(1, self.arity):
             acc = g.table[acc, pows[k][xs[:, k]]]
         return g.table[acc, self.hg.b]
-
-    def eval_long(self, xs: Iterable[int], fold: str = "left") -> int:
-        """Fold the operation over a sequence of length k(n-1)+1, k >= 1."""
-        xs = [int(x) for x in xs]
-        n = self.arity
-        if len(xs) < n or (len(xs) - 1) % (n - 1) != 0:
-            raise ValueError(
-                f"sequence length must be k(n-1)+1 for k>=1, got {len(xs)}"
-            )
-        while len(xs) > n:
-            if fold == "left":
-                xs[:n] = [self.eval(xs[:n])]
-            elif fold == "right":
-                xs[-n:] = [self.eval(xs[-n:])]
-            else:
-                raise ValueError(f"unknown fold order {fold!r}")
-        return self.eval(xs)
 
     def dense(self) -> np.ndarray:
         """The full operation table, shape (m,)*n.  Cached."""
@@ -258,20 +234,19 @@ def _fold_at(group: NaryGroup, i: int, xs: np.ndarray) -> np.ndarray:
     return group.eval_batch(np.stack(cols, axis=1))
 
 
-def verify_associativity(group: NaryGroup, budget: int | None = None) -> VerificationReport:
+def verify_associativity(group: NaryGroup) -> VerificationReport:
     """Check (i,j)-associativity for all 1 <= i < j <= n over all (2n-1)-tuples.
 
     The scan of every tuple, and the reference for the failure reports of
     :func:`verify_nary_group`, which runs it only when its difference-set
-    search cannot answer within budget.  Within budget the scan is exhaustive,
-    chunked over the first variable in increasing order, so the first witness
-    of an axiom is its lexicographically lowest; above budget a fixed-seed
-    sample is used and the report is flagged.
+    search cannot answer within ``DEFAULT_BUDGET``.  Within the budget the
+    scan is exhaustive, chunked over the first variable in increasing order,
+    so the first witness of an axiom is its lexicographically lowest; above
+    it a fixed-seed sample is used and the report is flagged.
     """
     m, n = group.order, group.arity
-    budget = resolve_budget(budget)
     total = m ** (2 * n - 1)
-    if total <= budget and m ** n <= DENSE_LIMIT:
+    if total <= DEFAULT_BUDGET and m ** n <= DENSE_LIMIT:
         table = group.dense()
         chunk_len = max(1, _CHUNK_CELLS // max(1, m ** (2 * n - 2)))
         found = {}
@@ -308,12 +283,14 @@ def verify_associativity(group: NaryGroup, budget: int | None = None) -> Verific
 
 # -- solvability ----------------------------------------------------------------
 
-def verify_quasigroup(group: NaryGroup, budget: int | None = None) -> VerificationReport:
-    """At each place i, with the other arguments fixed, z -> f(...z...) must permute."""
+def verify_quasigroup(group: NaryGroup) -> VerificationReport:
+    """At each place i, with the other arguments fixed, z -> f(...z...) must permute.
+
+    Exhaustive while m^n is within ``DEFAULT_BUDGET``, sampled above it.
+    """
     m, n = group.order, group.arity
-    budget = resolve_budget(budget)
     want = np.arange(m)
-    if m ** n <= min(budget, DENSE_LIMIT):
+    if m ** n <= min(DEFAULT_BUDGET, DENSE_LIMIT):
         table = group.dense()
         failures = []
         for place in range(n):
@@ -440,8 +417,7 @@ def _difference_set(table: np.ndarray, slices, limit: int) -> np.ndarray | None:
     return np.concatenate(cells) if cells else np.empty((0, n), dtype=np.int64)
 
 
-def _difference_report(group: NaryGroup, rejection: _Rejection,
-                       budget: int | None) -> VerificationReport | None:
+def _difference_report(group: NaryGroup, rejection: _Rejection) -> VerificationReport | None:
     """The exhaustive scan's failure report, searched for through the difference set.
 
     The table is compared with a valid decomposition G (anchor 0's, else the
@@ -458,16 +434,16 @@ def _difference_report(group: NaryGroup, rejection: _Rejection,
     D are lines of G, hence permutations, so the first failing line through D
     at each place is the scan's solvability witness.
 
-    Every evaluated tuple, and m per line, is charged to ``budget``, capped at
-    the m^(2n-1) tuples of the scan the search stands in for.  Since each of
-    the 2n |D| families may cost its first chunk, D may hold at most
+    Every evaluated tuple, and m per line, is charged to ``DEFAULT_BUDGET``,
+    capped at the m^(2n-1) tuples of the scan the search stands in for.
+    Since each of the 2n |D| families may cost its first chunk, D may hold at most
     cap / (2n * first chunk) cells.  Returns None when no anchor decomposes, D
     is empty or larger than that, or the search would exceed the cap; the
     caller then falls back to the scan.
     """
     table = group.dense()
     m, n = group.order, group.arity
-    cap = min(resolve_budget(budget), m ** (2 * n - 1))
+    cap = min(DEFAULT_BUDGET, m ** (2 * n - 1))
     limit = cap // (2 * n * min(_FIRST_ROWS, m ** (n - 1)))
     data = rejection.data
     if data is not None:
@@ -571,53 +547,56 @@ def _suspect_lines(m: int, n: int, rejection: _Rejection) -> list[tuple[int, tup
     return lines
 
 
-def verify_nary_group(group: NaryGroup, budget: int | None = None) -> VerificationReport:
+def verify_nary_group(group: NaryGroup) -> VerificationReport:
     """Decide the n-ary group axioms; a passing verdict is exact.
 
     A dense table passes through the Hosszú–Gluskin certificate
     (``method="certificate"``, ``checked`` = m^n compared cells + m^3 retract
-    cells).  An hg-backed group is valid by construction; its base table and
-    decomposition invariants are re-checked (``checked`` = m^3), and
-    :class:`InvalidGroupError` is raised if they no longer hold.
+    cells).  An hg-backed group is valid by construction: :class:`HGData`
+    checked its conditions, and a base group built with ``check=True`` keeps
+    the report of its m^3 table check, which is reused.  Only a base built
+    with ``check=False`` has its table verified here (``checked`` = m^3 either
+    way); :class:`InvalidGroupError`, carrying that report, is raised if it
+    is not a group.
 
     A rejected table's report is the exhaustive scan's: the first witness of
     each violated axiom, associativity by axiom name then solvability by
     place, with ``method="scan"`` and ``checked`` = m^(2n-1) + n m^n.  It is
     found from the difference set (see :func:`_difference_report`) with every
-    evaluated tuple charged to ``budget``.  When no anchor decomposes or the
-    search would exceed the budget, :func:`verify_associativity` and
-    :func:`verify_quasigroup` scan instead under ``budget``, and their report
-    is returned as it stands.  Should a sampled scan find nothing, the lines
-    through the cells the certificate flagged are checked for unique
-    solvability; if they hold too, :class:`SizeLimitError` is raised, since
-    the table is not an n-ary group but no witness was found within budget.
-    An exhaustive scan that finds nothing contradicts the certificate and
-    raises :class:`RuntimeError`.
+    evaluated tuple charged to ``DEFAULT_BUDGET``.  When no anchor decomposes
+    or the search would exceed the budget, :func:`verify_associativity` and
+    :func:`verify_quasigroup` scan instead, and their report is returned as
+    it stands.  Should a sampled scan find nothing, the lines through the
+    cells the certificate flagged are checked for unique solvability; if they
+    hold too, :class:`SizeLimitError` is raised, since the table is not an
+    n-ary group but no witness was found within the budget.  An exhaustive
+    scan that finds nothing contradicts the certificate and raises
+    :class:`RuntimeError`.
     """
     m, n = group.order, group.arity
     if group.hg is not None:
-        hg = group.hg
-        HGData(BinaryGroup(hg.group.table), hg.phi, hg.b, hg.arity)
+        base = group.hg.group
+        report = base.report or verify_binary_table(base.table)
+        if not report.passed:
+            f = report.first()
+            raise InvalidGroupError(f"hg base is not a group: {f.axiom} witness={f.witness}",
+                                    report)
         checked = m ** 3
     else:
         rejection = _certify_dense(group.dense())
         if rejection is not None:
-            report = _difference_report(group, rejection, budget)
-            if report is None:
-                report = _witness_report(group, rejection, budget)
-            return report
+            report = _difference_report(group, rejection)
+            return report if report is not None else _witness_report(group, rejection)
         checked = m ** n + m ** 3
     out = VerificationReport.certificate(checked=checked)
     group._verify_report = out
     return out
 
 
-def _witness_report(group: NaryGroup, rejection: _Rejection,
-                    budget: int | None) -> VerificationReport:
+def _witness_report(group: NaryGroup, rejection: _Rejection) -> VerificationReport:
     """Failure report for a table the certificate rejected."""
     m, n = group.order, group.arity
-    report = verify_associativity(group, budget=budget)
-    report = report.merge(verify_quasigroup(group, budget=budget))
+    report = verify_associativity(group).merge(verify_quasigroup(group))
     if not report.passed:
         return report
     if not report.sampled:
@@ -629,7 +608,7 @@ def _witness_report(group: NaryGroup, rejection: _Rejection,
                                            checked=report.checked + count * m, sampled=True)
     raise SizeLimitError(
         "not an n-ary group (the Hosszú–Gluskin certificate rejects it), but no "
-        f"witness was found within budget {resolve_budget(budget)}; raise the budget"
+        f"witness was found within the budget of {DEFAULT_BUDGET} tuples"
     )
 
 

@@ -1,4 +1,4 @@
-"""Verification reports and the exhaustiveness budget.
+"""Verification reports and the fixed tuple budget.
 
 Every axiom checker returns a :class:`VerificationReport` instead of raising,
 so that mutated or otherwise broken tables are first-class inputs.  A report
@@ -15,9 +15,10 @@ says how it was reached (``method``):
 - ``scan``: an exhaustive scan of every tuple;
 - ``sampled-scan``: a fixed-seed pseudo-random sample.  It arises only in
   the fallback of :func:`polyadic.core.verify_nary_group`'s failure-witness
-  search, when the scan's tuple count exceeds the budget (default ``10**7``,
-  overridable through the ``POLYAD_BUDGET`` environment variable or per
-  call).  ``sampled`` is true exactly for these reports.
+  search, when the scan's tuple count exceeds ``DEFAULT_BUDGET`` (10^7
+  tuples).  ``sampled`` is true exactly for these reports.  The budget is a
+  constant: no argument, flag or environment variable changes it, so a
+  report depends on its input alone.
 
 A scan carries the first witness found for each violated axiom, scanning in
 lexicographic tuple order so results are deterministic.  ``checked`` counts
@@ -37,7 +38,6 @@ the tuples (or cells) a report rests on:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,14 +47,6 @@ DEFAULT_BUDGET = 10_000_000
 SAMPLE_SEED = 0xC0FFEE
 SAMPLE_COUNT = 100_000
 METHODS = ("certificate", "scan", "sampled-scan")
-
-
-def resolve_budget(budget: int | None) -> int:
-    """Per-call budget, else POLYAD_BUDGET, else the default."""
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get("POLYAD_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
 
 
 def sample_tuples(count: int, width: int, high: int) -> np.ndarray:

@@ -143,6 +143,33 @@ def verify_subgroup_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def binary_table_checks(monkeypatch):
+    """Route ``verify_binary_table`` through a counter wherever it is bound; the shapes checked."""
+    import polyadic.binary
+    import polyadic.core
+    calls, real = [], polyadic.binary.verify_binary_table
+
+    def counting(table):
+        calls.append(table.shape)
+        return real(table)
+
+    for module in (polyadic.binary, polyadic.core):
+        monkeypatch.setattr(module, "verify_binary_table", counting)
+    return calls
+
+
+@pytest.fixture()
+def no_conjugacy_classes(monkeypatch):
+    """Fail the test if conjugacy classes are computed, by whatever name they are reached."""
+    import polyadic.action
+
+    def refuse(group):
+        raise AssertionError("conjugacy classes computed")
+
+    monkeypatch.setattr(polyadic.action, "canonical_action", refuse)
+
+
 @pytest.fixture(scope="session")
 def hg_stock():
     return random_hg_stock()

@@ -7,8 +7,9 @@ it on every table.  ``powerset_subgroups`` tests every subset for the
 subgroup axioms; the closure-lattice search must find the same list.
 
 The cover and representation oracles are the code those layers ran before
-their certificates: ``cover_table_by_eval_long`` builds a covering group's
-table one ``eval_long`` call per cell, ``cover_inverse_formula`` evaluates the
+their certificates: ``eval_long`` folds the operation over a long sequence,
+``cover_table_by_eval_long`` builds a covering group's table one
+``eval_long`` call per cell, ``cover_inverse_formula`` evaluates the
 closed-form cover inverse, and ``exhaustive_representation_scan`` and
 ``exhaustive_embedding_scan`` check the product identity on every n-tuple.
 
@@ -31,6 +32,8 @@ The last oracles are routes the library once ran beside its own answer:
 tests the inner-tuple lift criterion one ``eval`` per tuple (with the ternary
 skew criterion cross-checked), and ``hat_char_by_eval`` and
 ``kernel_by_element`` evaluate one element at a time.
+``character_class_spread`` scans the conjugacy classes that ``character``
+once checked its trace against.
 """
 
 import itertools
@@ -67,10 +70,8 @@ def skew_identity_failures(group):
 
 
 def exhaustive_scan(group):
-    """The associativity + solvability scan over every tuple, whatever its size."""
-    budget = group.order ** (2 * group.arity - 1)
-    scan = P.verify_associativity(group, budget=budget).merge(
-        P.verify_quasigroup(group, budget=budget))
+    """The associativity + solvability scan over every tuple; the group must fit the budget."""
+    scan = P.verify_associativity(group).merge(P.verify_quasigroup(group))
     assert not scan.sampled
     return scan
 
@@ -145,6 +146,22 @@ def single_cell_mutations(group):
             yield cell, P.NaryGroup(group.arity, m, table=mutated)
 
 
+def eval_long(group, xs, fold="left"):
+    """Fold the operation over a sequence of length k(n-1)+1, k >= 1, from the left or right."""
+    xs = [int(x) for x in xs]
+    n = group.arity
+    if len(xs) < n or (len(xs) - 1) % (n - 1) != 0:
+        raise ValueError(f"sequence length must be k(n-1)+1 for k>=1, got {len(xs)}")
+    while len(xs) > n:
+        if fold == "left":
+            xs[:n] = [group.eval(xs[:n])]
+        elif fold == "right":
+            xs[-n:] = [group.eval(xs[-n:])]
+        else:
+            raise ValueError(f"unknown fold order {fold!r}")
+    return group.eval(xs)
+
+
 def cover_table_by_eval_long(group, a):
     """The covering group's table at anchor ``a``, one ``eval_long`` call per cell."""
     m, n = group.order, group.arity
@@ -154,7 +171,7 @@ def cover_table_by_eval_long(group, a):
     for x, r, y, s in itertools.product(range(m), range(period), range(m), range(period)):
         rs = (r + s + 1) % period
         seq = (x,) + (a,) * r + (y,) + (a,) * s + (abar,) + (a,) * (n - 2 - rs)
-        table[x * period + r, y * period + s] = group.eval_long(seq) * period + rs
+        table[x * period + r, y * period + s] = eval_long(group, seq) * period + rs
     return table
 
 
@@ -173,7 +190,7 @@ def cover_inverse_formula(cover):
         k = (n - 3 - t) % period
         seq = ((abar,) + (a,) * (n - 2 - t) + (group.skew(x),) + (x,) * (n - 3)
                + (abar,) + (a,) * (n - 2 - k))
-        out[cover.pair_index(x, t)] = cover.pair_index(group.eval_long(seq), k)
+        out[cover.pair_index(x, t)] = cover.pair_index(eval_long(group, seq), k)
     return out
 
 
@@ -527,7 +544,7 @@ def lift_criterion_by_eval(group, gamma, e):
     For n = 3 the ternary criterion G(skew(x)) = G(x)^-1 must give the same answer.
     """
     n, m, images = group.arity, group.order, gamma.images
-    tol = gamma.eps * 10
+    tol = EPS * 10
     ebar = group.skew(e)
     ok = all(
         np.abs(images[group.eval((ebar,) + xs + (ebar,))]
@@ -550,4 +567,11 @@ def kernel_by_element(rep):
     """{x : L(x) = id}, one matrix compare per element."""
     eye = np.eye(rep.dim)
     return tuple(x for x in range(rep.group.order)
-                 if np.abs(rep.images[x] - eye).max() <= rep.eps)
+                 if np.abs(rep.images[x] - eye).max() <= EPS)
+
+
+def character_class_spread(rep):
+    """The largest spread of the trace of ``rep`` within one conjugacy class."""
+    traces = np.trace(rep.images, axis1=1, axis2=2)
+    return max(np.abs(traces[list(blk)] - traces[blk[0]]).max()
+               for blk in P.conjugacy_classes(rep.group).blocks)

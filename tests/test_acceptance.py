@@ -203,7 +203,7 @@ def test_criterion_09_maschke(t2):
             break
     diag = [np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)]
     images = np.array([basis @ diag[x] @ np.linalg.inv(basis) for x in range(2)])
-    rep = P.build_representation(t2, images)
+    rep = P.Representation(t2, images)
     theta, complement = P.maschke_decompose(P.GModule(rep, 0), basis[:, :1])
     assert np.abs(theta @ theta - theta).max() <= 1e-9
     for x in range(2):

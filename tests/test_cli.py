@@ -23,7 +23,7 @@ def files(tmp_path, t2, t2b, z4m, q4, s3t):
 
 @pytest.fixture()
 def mutated_s3t(tmp_path, s3t):
-    """S3T with one changed cell: a failing file whose scan the budget governs."""
+    """S3T with one changed cell: a failing file, answered through the difference set."""
     doc = group_to_dict(P.NaryGroup(3, 6, table=s3t.dense()))
     doc["table"][0] = 1
     path = tmp_path / "S3T-mutated.json"
@@ -186,23 +186,21 @@ class TestEmittedGroups:
 
 
 class TestBudgetEnv:
-    # The budget governs only the scan for failure witnesses: a passing
-    # verdict is an exact certificate whatever the budget.
-    def test_env_budget_forces_sampling(self, capsys, mutated_s3t, monkeypatch):
+    # The tuple budget is a constant: neither the environment nor a flag
+    # changes a verdict or its witnesses.
+    def test_env_budget_ignored(self, capsys, files, mutated_s3t, monkeypatch):
+        paths = [mutated_s3t] + list(files.values())
+        want = [run(capsys, "verify", path) for path in paths]
         monkeypatch.setenv("POLYAD_BUDGET", "10")
-        code, out = run(capsys, "verify", mutated_s3t)
-        assert code == 1
+        assert [run(capsys, "verify", path) for path in paths] == want
+        code, out = want[0]
         doc = json.loads(out)
-        assert doc["sampled"] is True and doc["method"] == "sampled-scan"
+        assert code == 1 and doc["sampled"] is False and doc["method"] == "scan"
 
-    def test_flag_overrides_env(self, capsys, mutated_s3t, monkeypatch):
-        monkeypatch.setenv("POLYAD_BUDGET", "10")
-        code, out = run(capsys, "verify", mutated_s3t, "--budget", "10000000")
-        assert code == 1
-        doc = json.loads(out)
-        assert doc["sampled"] is False and doc["method"] == "scan"
-
-    def test_budget_only_on_verify(self, capsys, files):
+    def test_budget_flag_rejected_by_every_command(self, capsys, files, mutated_s3t):
+        for path in (files["T2"], mutated_s3t):
+            code, out = run(capsys, "verify", path, "--budget", "10")
+            assert code == 2 and out == "", path
         for command in ("skew-table", "classes", "subgroups", "reps", "chars", "classify"):
             code, out = run(capsys, command, files["T2"], "--budget", "10")
             assert code == 2 and out == "", command
@@ -240,24 +238,29 @@ class TestFileFormat:
         save_group(labelled, path)
         assert load_group(path).labels == ("e", "a")
 
-    def test_binary_document_verified_once(self, tmp_path, monkeypatch, capsys):
+    def test_binary_document_verified_once(self, tmp_path, binary_table_checks, capsys):
         # the parser checks a binary table through BinaryGroup's one check,
         # and `verify` reports from that load instead of checking again
-        import polyadic.binary
         path = tmp_path / "z4.json"
         save_group(P.cyclic_group(4), path)
-        calls = []
-
-        def counting(table):
-            calls.append(table.shape)
-            return P.verify_binary_table(table)
-
-        monkeypatch.setattr(polyadic.binary, "verify_binary_table", counting)
+        calls = binary_table_checks
+        calls.clear()                      # count from the load on
         assert load_group(path).order == 4
         assert calls == [(4, 4)]
         code, out = run(capsys, "verify", str(path))
         assert code == 0 and calls == [(4, 4)] * 2
         assert json.loads(out) == P.verify_binary_table(P.cyclic_group(4).table).to_dict()
+
+    def test_hg_document_verified_once(self, tmp_path, binary_table_checks, capsys):
+        # the parser checks the embedded table; `verify` reuses that report
+        path = tmp_path / "s3t.json"
+        save_group(P.derived(P.symmetric_group_3(), 3), path)
+        assert json.loads(path.read_text())["kind"] == "hg"
+        binary_table_checks.clear()        # count from the load on
+        code, out = run(capsys, "verify", str(path))
+        assert code == 0 and binary_table_checks == [(6, 6)]
+        doc = json.loads(out)
+        assert doc["method"] == "certificate" and doc["checked"] == 6 ** 3
 
     def test_failing_binary_document_reports_the_table_check(self, tmp_path, capsys):
         table = [0, 1, 2, 1, 2, 0, 2, 1, 0]    # Latin with identity 0, not associative

@@ -37,20 +37,22 @@ class TestEval:
 
 
 class TestEvalLong:
+    """The long-sequence fold that the cover oracles build on."""
+
     def test_examples(self, t2, z4m):
-        assert t2.eval_long((1, 1, 1, 1, 1)) == 1
-        assert z4m.eval_long((1, 2, 3, 0, 1)) == 3
+        assert oracle.eval_long(t2, (1, 1, 1, 1, 1)) == 1
+        assert oracle.eval_long(z4m, (1, 2, 3, 0, 1)) == 3
 
     def test_derived_matches_permutation_products(self, s3, s3t):
         rng = np.random.default_rng(7)
         for _ in range(50):
             xs = rng.integers(0, 6, size=5)
             direct = s3.product(xs)
-            assert s3t.eval_long(tuple(xs)) == direct
+            assert oracle.eval_long(s3t, tuple(xs)) == direct
 
     def test_invalid_length(self, t2):
         with pytest.raises(ValueError, match="k\\(n-1\\)\\+1"):
-            t2.eval_long((1, 1, 1, 1))
+            oracle.eval_long(t2, (1, 1, 1, 1))
 
     def test_fold_order_independent(self, fixtures):
         rng = np.random.default_rng(11)
@@ -58,12 +60,13 @@ class TestEvalLong:
             n = group.arity
             for k in (2, 3):
                 xs = tuple(rng.integers(0, group.order, size=k * (n - 1) + 1))
-                assert group.eval_long(xs, fold="left") == group.eval_long(xs, fold="right")
+                assert oracle.eval_long(group, xs, fold="left") == \
+                    oracle.eval_long(group, xs, fold="right")
 
     def test_agrees_with_eval_on_length_n(self, fixtures):
         for group in fixtures.values():
             for xs in itertools.product(range(group.order), repeat=group.arity):
-                assert group.eval_long(xs) == group.eval(xs)
+                assert oracle.eval_long(group, xs) == group.eval(xs)
 
 
 class TestAssociativity:
@@ -81,8 +84,9 @@ class TestAssociativity:
         assert axiom.startswith("associativity(")
         assert len(witness) == 5
 
-    def test_sampled_above_budget(self, s3t):
-        report = P.verify_associativity(s3t, budget=100)
+    def test_sampled_above_budget(self, s3t, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_BUDGET", 100)
+        report = P.verify_associativity(s3t)
         assert report.passed and report.sampled
 
 
@@ -162,11 +166,12 @@ class TestCertificate:
                 tables += 1
         assert tables == 1304
 
-    def test_sampled_scan_miss_is_caught(self, s3t):
+    def test_sampled_scan_miss_is_caught(self, s3t, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_BUDGET", 10)
         table = s3t.dense().copy()
         table[1, 2, 3] = (table[1, 2, 3] + 1) % 6
         broken = P.NaryGroup(3, 6, table=table)
-        report = P.verify_nary_group(broken, budget=10)
+        report = P.verify_nary_group(broken)
         assert not report.passed and report.method == "sampled-scan"
         assert oracle.witness_breaks(table, *report.first())
 
@@ -174,12 +179,12 @@ class TestCertificate:
         # With a one-tuple sample nearly every changed cell escapes the scan;
         # the lines through the cells the certificate flags must still show it.
         monkeypatch.setattr(core, "SAMPLE_COUNT", 1)
+        monkeypatch.setattr(core, "DEFAULT_BUDGET", 10)
         missed = 0
         for cell, mutated in oracle.single_cell_mutations(s3t):
-            scan = P.verify_associativity(mutated, budget=10).merge(
-                P.verify_quasigroup(mutated, budget=10))
+            scan = P.verify_associativity(mutated).merge(P.verify_quasigroup(mutated))
             missed += scan.passed
-            report = P.verify_nary_group(mutated, budget=10)
+            report = P.verify_nary_group(mutated)
             assert not report.passed and report.sampled, cell
             assert oracle.witness_breaks(mutated.dense(), *report.first()), cell
         assert missed > 900
@@ -197,11 +202,33 @@ class TestCertificate:
         assert group._table is None
 
     def test_hg_data_corrupted_after_construction_raises(self):
+        # the verified base table and phi are read-only, so the report kept
+        # from construction stays true of them
         base = P.cyclic_group(3)
         group = P.derived(base, 3)
-        base.table[0, 0] = 1
-        with pytest.raises(P.InvalidGroupError):
+        with pytest.raises(ValueError, match="read-only"):
+            base.table[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            group.hg.phi[0] = 1
+        assert P.verify_nary_group(group).passed
+
+    def test_hg_group_reuses_its_base_report(self, s3t, binary_table_checks):
+        # a checked base keeps its construction report; an unchecked one is verified once
+        calls = binary_table_checks
+        checked = P.derived(P.symmetric_group_3(), 3)
+        assert calls == [(6, 6)]
+        assert P.verify_nary_group(checked).checked == 6 ** 3 and calls == [(6, 6)]
+        unchecked = P.hg_construct(P.hg_decompose(s3t, 1))
+        assert unchecked.hg.group.report is None and len(calls) == 1
+        assert P.verify_nary_group(unchecked).passed and calls == [(6, 6)] * 2
+
+    def test_unchecked_hg_base_that_is_no_group_raises_with_its_report(self):
+        # a Latin table with identity 0 that is not associative, built unchecked
+        loop = P.BinaryGroup(np.array([[0, 1, 2], [1, 2, 0], [2, 1, 0]]), check=False)
+        group = P.NaryGroup(3, 3, hg=P.HGData(loop, np.arange(3), 0, 3))
+        with pytest.raises(P.InvalidGroupError, match="hg base is not a group") as exc:
             P.verify_nary_group(group)
+        assert exc.value.report == P.verify_binary_table(loop.table)
 
 
 def _mutate(table, cells, rng):
@@ -233,7 +260,7 @@ class TestDifferenceSet:
                     continue
                 scan = oracle.exhaustive_scan(mutated)
                 assert report.to_dict() == scan.to_dict(), (name, cells)
-                direct = core._difference_report(mutated, core._certify_dense(mutated.dense()), None)
+                direct = core._difference_report(mutated, core._certify_dense(mutated.dense()))
                 if direct is not None:
                     assert direct == scan, (name, cells)
                     searched += 1
@@ -245,17 +272,19 @@ class TestDifferenceSet:
         mutated = P.NaryGroup(3, 6, table=table)
         rejection = core._certify_dense(table)
         assert rejection.data is None and core._decompose(table, 1)[1] is not None
-        report = core._difference_report(mutated, rejection, None)
+        report = core._difference_report(mutated, rejection)
         assert report is not None and report == oracle.exhaustive_scan(mutated)
         assert P.verify_nary_group(mutated) == report
 
-    def test_exact_witnesses_where_the_scan_would_sample(self, s3t):
+    def test_exact_witnesses_where_the_scan_would_sample(self, s3t, monkeypatch):
         table = _mutate(s3t.dense(), [(2, 4, 3)], np.random.default_rng(1))
         mutated = P.NaryGroup(3, 6, table=table)
-        assert P.verify_associativity(mutated, budget=1000).sampled
-        report = P.verify_nary_group(mutated, budget=1000)
+        want = oracle.exhaustive_scan(mutated).to_dict()
+        monkeypatch.setattr(core, "DEFAULT_BUDGET", 1000)
+        assert P.verify_associativity(mutated).sampled
+        report = P.verify_nary_group(mutated)
         assert report.method == "scan" and not report.sampled
-        assert report.to_dict() == oracle.exhaustive_scan(mutated).to_dict()
+        assert report.to_dict() == want
 
     def test_changed_twist_cell_falls_back_to_the_scan(self):
         # b' still gives a valid decomposition, one that differs in every cell
@@ -266,13 +295,13 @@ class TestDifferenceSet:
         mutated = P.NaryGroup(3, 8, table=table)
         rejection = core._certify_dense(table)
         assert rejection.data is not None
-        assert core._difference_report(mutated, rejection, None) is None
+        assert core._difference_report(mutated, rejection) is None
         assert P.verify_nary_group(mutated) == oracle.exhaustive_scan(mutated)
 
     def test_garbage_table_falls_back_to_the_scan(self):
         table = np.random.default_rng(2).integers(0, 6, size=(6, 6, 6))
         garbage = P.NaryGroup(3, 6, table=table)
-        assert core._difference_report(garbage, core._certify_dense(table), None) is None
+        assert core._difference_report(garbage, core._certify_dense(table)) is None
         report = P.verify_nary_group(garbage)
         assert report == P.verify_associativity(garbage).merge(P.verify_quasigroup(garbage))
         assert not report.passed

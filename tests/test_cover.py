@@ -54,10 +54,12 @@ class TestCoveringGroup:
                 assert cov.group.table.tobytes() == want.tobytes(), (name, a)
 
     def test_no_eval_long_call(self, s3t, monkeypatch):
-        def refuse(self, xs, fold="left"):
-            raise AssertionError("covering_group called eval_long")
+        # eval_long (now a test oracle) folds scalar eval calls: refusing eval
+        # refuses every per-element fold
+        def refuse(self, xs):
+            raise AssertionError("covering_group called the scalar eval")
 
-        monkeypatch.setattr(P.NaryGroup, "eval_long", refuse)
+        monkeypatch.setattr(P.NaryGroup, "eval", refuse)
         assert P.covering_group(s3t, 1).group.order == 12
 
     def test_anchors_give_isomorphic_covers(self, fixtures):
@@ -215,7 +217,8 @@ class TestLiftFromCover:
         cov = P.covering_group(t2, 0)
         bad = np.ones((4, 1, 1), dtype=complex)
         bad[0] = 2.0
-        with pytest.raises(P.InvalidGroupError, match="unverified"):
+        # a BinaryRepresentation verifies on construction, so gamma never reaches the lift
+        with pytest.raises(P.InvalidGroupError, match="not a representation"):
             P.lift_module_from_cover(cov, P.BinaryRepresentation(cov.group, bad))
 
     def test_bijection_with_direct_search_on_abelian_covers(self, t2, t2b, q4):

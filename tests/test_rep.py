@@ -17,7 +17,7 @@ def one_dim(values):
 
 @pytest.fixture(scope="module")
 def sign_rep(s3t):
-    return P.build_representation(s3t, one_dim(SIGN))
+    return P.Representation(s3t, one_dim(SIGN))
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ def conjugated_t2_rep(t2):
             break
     diag = [np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)]
     images = np.array([basis @ diag[x] @ np.linalg.inv(basis) for x in range(2)])
-    return P.build_representation(t2, images), basis
+    return P.Representation(t2, images), basis
 
 
 class TestVerifyRepresentation:
@@ -83,6 +83,90 @@ def single_entry_mutations(images, root_order):
                 yield mutated
 
 
+class TestVerifiedOnConstruction:
+    """Representations verify on construction and carry the failing report."""
+
+    @staticmethod
+    def rejected(cls, group, images, verify):
+        with pytest.raises(P.InvalidGroupError, match="not a representation") as exc:
+            cls(group, images)
+        assert exc.value.report == verify(group, images)
+        return exc.value.report
+
+    def test_images_that_are_no_homomorphism_raise(self, s3t, t2):
+        for mutated in single_entry_mutations(s3_two_dim().astype(complex), 6):
+            report = self.rejected(P.Representation, s3t, mutated, P.verify_representation)
+            assert not report.passed
+        report = self.rejected(P.Representation, t2, one_dim([1, 1j]), P.verify_representation)
+        assert report.first().axiom == "homomorphism"
+        ret = P.retract(s3t, 0)
+        for mutated in single_entry_mutations(s3_two_dim().astype(complex), 6):
+            self.rejected(P.BinaryRepresentation, ret, mutated, P.verify_binary_representation)
+
+    def test_empty_kernel_and_bad_shapes_raise(self, t2b, t2):
+        report = self.rejected(P.Representation, t2b, one_dim([1j, -1j]), P.verify_representation)
+        assert {f.axiom for f in report.failures} == {"kernel-empty"}
+        for images in (np.ones((2, 1)), np.ones((3, 1, 1)), np.ones((2, 1, 2))):
+            report = self.rejected(P.Representation, t2, images, P.verify_representation)
+            assert report.first().axiom == "images-shape"
+            report = self.rejected(P.BinaryRepresentation, P.retract(t2, 0), images,
+                                   P.verify_binary_representation)
+            assert report.first().axiom == "images-shape"
+
+    def test_images_are_a_read_only_copy(self, t2):
+        images = one_dim([1, -1])
+        rep = P.Representation(t2, images)
+        images[1] = 1                      # the caller's array stays writable
+        assert rep.images[1, 0, 0] == -1
+        with pytest.raises(ValueError, match="read-only"):
+            rep.images[1] = 1
+
+    def test_equivalent_verifies_nothing(self, t2, sign_rep, monkeypatch):
+        import polyadic.rep
+        r1 = P.Representation(t2, one_dim([1, -1]))
+        r2 = P.Representation(t2, one_dim([1, 1]))
+
+        def refuse(group, images):
+            raise AssertionError("representation verified again")
+
+        monkeypatch.setattr(polyadic.rep, "verify_representation", refuse)
+        assert P.equivalent(sign_rep, sign_rep) and P.equivalent(r1, r1)
+        assert not P.equivalent(r1, r2)
+
+    def test_hat_rep_verifies_once(self, sign_rep, monkeypatch):
+        import polyadic.rep
+        calls, real = [], P.verify_binary_representation
+
+        def counting(group, images):
+            calls.append(group.order)
+            return real(group, images)
+
+        monkeypatch.setattr(polyadic.rep, "verify_binary_representation", counting)
+        assert P.hat_rep(sign_rep, 0).dim == 1
+        assert calls == [6]
+
+    def test_lifts_verify_their_result_once(self, s3t, t2, monkeypatch):
+        import polyadic.rep
+        calls = []
+
+        def counting(name, real):
+            def wrapper(group, images):
+                calls.append(name)
+                return real(group, images)
+            return wrapper
+
+        gamma = P.BinaryRepresentation(P.retract(s3t, 0), one_dim(SIGN))
+        cov = P.covering_group(t2, 0)
+        cover_gamma = P.BinaryRepresentation(cov.group, np.ones((4, 1, 1)))
+        monkeypatch.setattr(polyadic.rep, "verify_representation",
+                            counting("n-ary", P.verify_representation))
+        monkeypatch.setattr(polyadic.rep, "verify_binary_representation",
+                            counting("binary", P.verify_binary_representation))
+        assert P.lift_from_retract(s3t, gamma, 0) is not None
+        assert P.lift_module_from_cover(cov, cover_gamma) is not None
+        assert calls == ["n-ary", "n-ary"]
+
+
 class TestCertificate:
     """The homomorphism certificate against the scan of every n-tuple."""
 
@@ -117,30 +201,40 @@ class TestCertificate:
 
 class TestCharacter:
     def test_trivial_constant(self, s3t):
-        rep = P.build_representation(s3t, np.broadcast_to(np.eye(2), (6, 2, 2)).copy())
+        rep = P.Representation(s3t, np.broadcast_to(np.eye(2), (6, 2, 2)).copy())
         char = P.character(rep)
         assert np.abs(char.values - 2).max() < 1e-12
 
     def test_t2_values(self, t2):
-        rep = P.build_representation(t2, one_dim([1, -1]))
+        rep = P.Representation(t2, one_dim([1, -1]))
         assert np.allclose(P.character(rep).values, [1, -1])
 
-    def test_constant_on_classes_for_all_fixture_reps(self, fixtures):
+    def test_constant_on_classes_for_all_fixture_reps(self, fixtures, hg_stock, s3t,
+                                                      conjugated_t2_rep):
+        # character() no longer scans the classes; the theorem must hold on every rep
+        reps = [(name, rep) for name, group in list(fixtures.items()) + hg_stock
+                for rep in P.one_dim_reps(group)]
+        reps += [("S3T 2-dim", P.Representation(s3t, s3_two_dim())),
+                 ("T2 conjugated", conjugated_t2_rep[0])]
+        for name, rep in reps:
+            assert oracle.character_class_spread(rep) < 1e-9, name
+            assert np.array_equal(P.character(rep).values,
+                                  np.trace(rep.images, axis1=1, axis2=2)), name
+
+    def test_no_conjugacy_classes_computed(self, fixtures, s3t, no_conjugacy_classes):
         for group in fixtures.values():
             for rep in P.one_dim_reps(group):
-                char = P.character(rep)
-                for blk in P.conjugacy_classes(group).blocks:
-                    vals = char.values[list(blk)]
-                    assert np.abs(vals - vals[0]).max() < 1e-9
+                P.character(rep)
+        assert P.character(P.Representation(s3t, s3_two_dim())).values[0] == 2
 
 
 class TestKernel:
     def test_trivial_rep_kernel_is_carrier(self, z4m):
-        rep = P.build_representation(z4m, one_dim(np.ones(4)))
+        rep = P.Representation(z4m, one_dim(np.ones(4)))
         assert P.kernel(rep) == (0, 1, 2, 3)
 
     def test_t2_kernel(self, t2):
-        rep = P.build_representation(t2, one_dim([1, -1]))
+        rep = P.Representation(t2, one_dim([1, -1]))
         assert P.kernel(rep) == (0,)
 
     def test_sign_rep_kernel_normal(self, sign_rep):
@@ -159,13 +253,7 @@ class TestKernel:
             assert P.kernel(rep) == oracle.kernel_by_element(rep)
 
     def test_subgroup_verified_once_and_no_classes(self, sign_rep, verify_subgroup_calls,
-                                                   monkeypatch):
-        import polyadic.rep
-
-        def refuse(group):
-            raise AssertionError("conjugacy classes computed")
-
-        monkeypatch.setattr(polyadic.rep, "conjugacy_classes", refuse)
+                                                   no_conjugacy_classes):
         assert P.kernel(sign_rep) == A3
         assert verify_subgroup_calls == [A3]
 
@@ -177,12 +265,12 @@ class TestKernel:
 
 class TestHatTransfer:
     def test_trivial(self, t2):
-        rep = P.build_representation(t2, one_dim([1, 1]))
+        rep = P.Representation(t2, one_dim([1, 1]))
         hat = P.hat_rep(rep, 0)
         assert np.abs(hat.images - 1).max() < 1e-12
 
     def test_t2_formula(self, t2):
-        rep = P.build_representation(t2, one_dim([1, -1]))
+        rep = P.Representation(t2, one_dim([1, -1]))
         hat = P.hat_rep(rep, 0)
         assert np.allclose(hat.images[:, 0, 0], [1, -1])
 
@@ -213,7 +301,7 @@ class TestHatTransfer:
                     assert np.array_equal(P.hat_char(char, e, p), want), (name, e)
 
     def test_hat_char_requires_kernel_element(self, t2):
-        rep = P.build_representation(t2, one_dim([1, -1]))
+        rep = P.Representation(t2, one_dim([1, -1]))
         with pytest.raises(P.InvalidGroupError, match="kernel"):
             P.hat_char(P.character(rep), 0, 1)
 
@@ -316,13 +404,13 @@ class TestEquivalence:
         assert P.equivalent(sign_rep, sign_rep)
 
     def test_t2_distinct_reps(self, t2):
-        r1 = P.build_representation(t2, one_dim([1, -1]))
-        r2 = P.build_representation(t2, one_dim([1, 1]))
+        r1 = P.Representation(t2, one_dim([1, -1]))
+        r2 = P.Representation(t2, one_dim([1, 1]))
         assert not P.equivalent(r1, r2)
 
     def test_hat_equal_but_anchor_trace_differs(self, s3t):
-        plus = P.build_representation(s3t, one_dim(SIGN))
-        minus = P.build_representation(s3t, one_dim(-SIGN))
+        plus = P.Representation(s3t, one_dim(SIGN))
+        minus = P.Representation(s3t, one_dim(-SIGN))
         c1, c2 = P.character(plus), P.character(minus)
         h1 = P.hat_char(c1, 0, P.kernel_chi(c1)[0])
         h2 = P.hat_char(c2, 0, P.kernel_chi(c2)[0])
@@ -337,7 +425,7 @@ class TestEquivalence:
 
     def test_oracle_agreement_two_dim(self, conjugated_t2_rep, t2):
         twisted, _ = conjugated_t2_rep
-        diag = P.build_representation(
+        diag = P.Representation(
             t2, np.array([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
         )
         assert P.equivalent(twisted, diag)
@@ -349,7 +437,7 @@ class TestEquivalence:
         group = P.hg_construct(P.HGData(q8, phi, 0, 4))
         assert P.central_elements(group) == ()
         assert not P.is_semiabelian(group)
-        rep = P.build_representation(group, one_dim(np.ones(8)))
+        rep = P.Representation(group, one_dim(np.ones(8)))
         with pytest.raises(P.CriterionUnavailableError):
             P.equivalent(rep, rep)
 
@@ -395,7 +483,7 @@ class TestMaschke:
 
 class TestOrthogonality:
     def test_trivial_pair_is_one(self, t2):
-        rep = P.build_representation(t2, one_dim([1, 1]))
+        rep = P.Representation(t2, one_dim([1, 1]))
         char = P.character(rep)
         assert abs(P.orthogonality_check(char, 0, char, 0, 0) - 1) < 1e-9
 
@@ -497,7 +585,7 @@ class TestCosetExamples:
 class TestFactorRep:
     def test_trivial(self, s3t):
         quot = P.quotient(s3t, A3)
-        rep = P.build_representation(s3t, one_dim(np.ones(6)))
+        rep = P.Representation(s3t, one_dim(np.ones(6)))
         factored = P.factor_rep(rep, quot)
         assert np.abs(factored.images - 1).max() < 1e-12
 

@@ -4,7 +4,8 @@ import pytest
 
 import polyadic as P
 from conftest import A3, TRANSPOSITIONS, z2_4_ternary
-from oracle import cosets_by_loops, first_skew_outside, is_normal_by_eval, powerset_subgroups
+from oracle import (cosets_by_loops, first_skew_outside, is_normal_by_eval, powerset_subgroups,
+                    scan_verdict)
 
 
 class TestSubgroups:
@@ -143,12 +144,39 @@ class TestQuotient:
         P.quotient(z4m, (0, 2))
         assert verify_subgroup_calls == [A3, (0, 2)]
 
-    def test_quotients_verify(self, fixtures):
-        for group in fixtures.values():
+    def test_quotients_verify(self, fixtures, hg_stock):
+        # quotient() no longer verifies its table: every quotient by a normal
+        # subgroup must pass the certificate and the independent scan
+        count = 0
+        for name, group in list(fixtures.items()) + hg_stock:
             for sub in P.subgroups(group):
                 if P.is_normal(group, sub):
                     quot = P.quotient(group, sub)
-                    assert P.verify_nary_group(quot.group).passed
+                    assert P.verify_nary_group(quot.group).passed, (name, sub)
+                    assert scan_verdict(quot.group), (name, sub)
+                    count += 1
+        assert count > 40
+
+    def test_ill_defined_blockwise_operation_rejected(self, s3t, monkeypatch):
+        # the cosets of a transposition partition S3T, but the blockwise
+        # operation is not well-defined; with normality forced, only the
+        # check over every tuple stands between it and a quotient table
+        import polyadic.structure
+        monkeypatch.setattr(polyadic.structure, "_is_normal", lambda group, sub: True)
+        with pytest.raises(P.InvalidGroupError, match="not well-defined"):
+            P.quotient(s3t, (0, 1))
+
+    def test_quotient_table_not_reverified(self, s3t, z4m, monkeypatch):
+        import polyadic.core
+        s3t.require_verified()
+        z4m.require_verified()
+
+        def refuse(table):
+            raise AssertionError("a table was verified")
+
+        monkeypatch.setattr(polyadic.core, "_certify_dense", refuse)
+        assert P.quotient(s3t, A3).group.order == 2
+        assert P.quotient(z4m, (0, 2)).group.order == 2
 
 
 class TestCentral:
