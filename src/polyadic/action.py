@@ -19,7 +19,7 @@ from .report import VerificationReport
 from .structure import Partition, SubgroupRef, _require_subgroup, verify_subgroup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Action:
     """Materialized action table: ``table[x, a]`` is the image of point a under x."""
 
@@ -63,7 +63,7 @@ def verify_action(act: Action) -> VerificationReport:
     composed = t[rows[:, -1]]
     for k in range(g.arity - 2, -1, -1):
         composed = np.take_along_axis(t[rows[:, k]], composed, axis=1)
-    wrong = np.argwhere(t[g.eval_batch(rows)] != composed)
+    wrong = np.argwhere(t[g(*rows.T)] != composed)
     if wrong.size:
         r, a = wrong[0]
         failures.append(("action-composition", tuple(rows[r]) + (a,)))
@@ -71,13 +71,11 @@ def verify_action(act: Action) -> VerificationReport:
 
 
 def canonical_action(group: NaryGroup) -> Action:
-    """The self-action x.a = f(x, a, x^(n-3), skew(x)), one ``eval_batch``."""
+    """The self-action x.a = f(x, a, x^(n-3), skew(x)), one evaluation on the (x, a) grid."""
     group.require_verified()
     m, n = group.order, group.arity
-    x = np.repeat(np.arange(m, dtype=np.int64), m)
-    rows = np.repeat(x[:, None], n, axis=1)
-    rows[:, 1], rows[:, n - 1] = np.tile(np.arange(m), m), group.skew_table()[x]
-    return Action(group, m, group.eval_batch(rows).reshape(m, m))
+    x = np.arange(m)[:, None]
+    return Action(group, m, group(x, np.arange(m), *(x,) * (n - 3), group.skew_table()[x]))
 
 
 def orbits(act: Action) -> Partition:
@@ -135,15 +133,16 @@ def centralizer(group: NaryGroup, a: int) -> SubgroupRef:
 def _shifted_identity_failure(group: NaryGroup, a: int, elems) -> tuple[int, int, int, bool] | None:
     """The first (x, i, j, swapped) in ``elems`` whose shifted identity fails, or None.
 
-    One ``eval_batch`` over every x, i + j <= n-2 and both variants, searched in that order.
+    One evaluation on the (key, x) grid of every x, i + j <= n-2 and both
+    variants, searched in that order.
     """
     n, xs = group.arity, np.asarray(elems, dtype=np.int64)
     keys = [(i, j, s) for i in range(n - 1) for j in range(n - 1 - i) for s in (False, True)]
+    i, j, swapped = (np.array(col)[:, None] for col in zip(*keys))
     xb = group.skew_table()[xs]
-    rows = np.tile(xs[None, :, None], (len(keys), 1, n))
-    for r, (i, j, swapped) in enumerate(keys):
-        rows[r, :, i], rows[r, :, i + j + 1] = (xb, a) if swapped else (a, xb)
-    bad = np.argwhere((group.eval_batch(rows.reshape(-1, n)) != a).reshape(len(keys), -1).T)
+    first, second = np.where(swapped, xb, a), np.where(swapped, a, xb)
+    args = [np.where(i == p, first, np.where(i + j + 1 == p, second, xs)) for p in range(n)]
+    bad = np.argwhere((group(*args) != a).T)
     return (int(xs[bad[0, 0]]),) + keys[bad[0, 1]] if bad.size else None
 
 
@@ -157,7 +156,7 @@ def is_conjugation_congruence(group: NaryGroup) -> bool:
     when the classes of values are determined by the keys.
     """
     cls = conjugacy_classes(group).index
-    c, table = int(cls.max()) + 1, group.dense()
+    c, table = int(cls.max()) + 1, group.dense()   # every tuple is checked
     key = np.zeros((), dtype=np.int64)
     for _ in range(group.arity):
         key = key[..., None] * c + cls

@@ -434,7 +434,7 @@ def small_group_tag(group: BinaryGroup) -> str:
     return f"nonabelian-{m}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HGData:
     """Binary group, automorphism phi and element b presenting an n-ary group.
 

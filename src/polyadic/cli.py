@@ -47,6 +47,17 @@ def _load_nary(path) -> NaryGroup:
     return group
 
 
+def _element(group: NaryGroup, value, flag: str) -> int:
+    """``value`` as an element index; :class:`ParseError` unless it is an integer in 0..m-1."""
+    try:
+        x = int(value)
+    except ValueError:
+        x = -1
+    if not 0 <= x < group.order:
+        raise ParseError(f"{flag} takes element indices in 0..{group.order - 1}, got {value!r}")
+    return x
+
+
 def cmd_verify(args) -> int:
     try:
         group = load_group(args.path)
@@ -73,9 +84,10 @@ def cmd_skew_table(args) -> int:
 
 def cmd_retract(args) -> int:
     group = _load_nary(args.path)
-    ret = retract(group, args.at)
+    at = _element(group, args.at, "--at")
+    ret = retract(group, at)
     emit({
-        "at": args.at,
+        "at": at,
         "identity": int(ret.identity),
         "abelian": bool(ret.is_abelian),
         "group": group_to_dict(ret),
@@ -85,9 +97,10 @@ def cmd_retract(args) -> int:
 
 def cmd_hg(args) -> int:
     group = _load_nary(args.path)
-    data = hg_decompose(group, args.at)
+    at = _element(group, args.at, "--at")
+    data = hg_decompose(group, at)
     emit({
-        "at": args.at,
+        "at": at,
         "arity": group.arity,
         "phi": [int(v) for v in data.phi],
         "b": int(data.b),
@@ -98,7 +111,8 @@ def cmd_hg(args) -> int:
 
 def cmd_cover(args) -> int:
     group = _load_nary(args.path)
-    cov = covering_group(group, args.at)
+    at = _element(group, args.at, "--at")
+    cov = covering_group(group, at)
     h = cover_H(cov)
     embedding = verify_embedding(cov)
     if not embedding.passed:
@@ -106,7 +120,7 @@ def cmd_cover(args) -> int:
     if args.out:
         save_group(cov.group, args.out)
     emit({
-        "at": args.at,
+        "at": at,
         "order": int(cov.group.order),
         "identity_pair": [int(v) for v in cov.pair_of(cov.group.identity)],
         "tag": small_group_tag(cov.group),
@@ -126,8 +140,9 @@ def cmd_classes(args) -> int:
 
 def cmd_centralizer(args) -> int:
     group = _load_nary(args.path)
-    elems = centralizer(group, args.of)
-    emit({"of": args.of, "centralizer": [int(v) for v in elems]})
+    of = _element(group, args.of, "--of")
+    elems = centralizer(group, of)
+    emit({"of": of, "centralizer": [int(v) for v in elems]})
     return PASS
 
 
@@ -142,7 +157,7 @@ def cmd_subgroups(args) -> int:
 
 def cmd_quotient(args) -> int:
     group = _load_nary(args.path)
-    subgroup = tuple(int(v) for v in args.subgroup.split(","))
+    subgroup = tuple(_element(group, v, "--subgroup") for v in args.subgroup.split(","))
     quot = quotient(group, subgroup)
     emit({
         "subgroup": [int(v) for v in sorted(subgroup)],

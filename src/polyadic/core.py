@@ -3,6 +3,10 @@
 An :class:`NaryGroup` is a carrier {0..m-1} with an n-ary operation (n >= 3)
 held either as a dense table of m^n element indices or in decomposed form as
 :class:`~polyadic.binary.HGData` (binary group, automorphism, twist element).
+Every evaluation goes through ``group(*xs)``, which applies the operation
+elementwise to broadcast index arguments: one gather on a dense table, the
+Hosszú–Gluskin fold on the decomposed form.  Only code that reads every
+cell materializes the m^n table with :meth:`NaryGroup.dense`.
 
 :func:`verify_nary_group` decides the axioms exactly with a Hosszú–Gluskin
 certificate: a table is an n-ary group iff it equals
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
+from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -90,48 +95,45 @@ class NaryGroup:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _check_args(self, xs) -> tuple[int, ...]:
-        xs = tuple(int(x) for x in xs)
+    def __call__(self, *xs):
+        """f applied elementwise to n broadcastable index arguments (ints or integer arrays).
+
+        A dense table is one gather.  The hg backend folds
+        ``x1 phi(x2) ... phi^(n-1)(xn) b`` and raises :class:`SizeLimitError`
+        before it allocates a result of more than ``DENSE_LIMIT`` values.
+        Indices are not range-checked; :meth:`eval` is the checked scalar form.
+        """
         if len(xs) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(xs)}")
-        if any(x < 0 or x >= self.order for x in xs):
-            raise ValueError(f"element index out of range in {xs}")
-        return xs
-
-    def eval(self, xs: Iterable[int]) -> int:
-        """Apply the n-ary operation once."""
-        xs = self._check_args(xs)
         if self._table is not None:
-            return int(self._table[xs])
+            return self._table[xs]
+        # np.broadcast_shapes, unlike np.broadcast, takes any number of operands
+        _require_small(np.broadcast_shapes(*map(np.shape, xs)))
         g, pows = self.hg.group, self.hg.phi_powers
         acc = xs[0]
         for k in range(1, self.arity):
-            acc = g.mul(acc, int(pows[k][xs[k]]))
-        return g.mul(acc, self.hg.b)
-
-    def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized eval over rows of an (N, n) index matrix."""
-        xs = np.asarray(xs, dtype=np.int64)
-        if self._table is not None:
-            return self._table[tuple(xs.T)]
-        g, pows = self.hg.group, self.hg.phi_powers
-        acc = xs[:, 0]
-        for k in range(1, self.arity):
-            acc = g.table[acc, pows[k][xs[:, k]]]
+            acc = g.table[acc, pows[k][xs[k]]]
         return g.table[acc, self.hg.b]
 
+    def eval(self, xs: Iterable[int]) -> int:
+        """Apply the n-ary operation once, with the arguments checked."""
+        xs = tuple(int(x) for x in xs)
+        if any(x < 0 or x >= self.order for x in xs):
+            raise ValueError(f"element index out of range in {xs}")
+        return int(self(*xs))
+
     def dense(self) -> np.ndarray:
-        """The full operation table, shape (m,)*n.  Cached."""
+        """The full operation table, shape (m,)*n.  Cached.
+
+        Only code that reads every cell calls it: the dense verifier and its
+        scans, :meth:`equals`, ``quotient``'s well-definedness check,
+        ``is_central``, ``is_conjugation_congruence``,
+        ``one_dim_reps_bruteforce`` and the dense file writer; and
+        ``subgroups``/``subgroup_closure``, whose closures run on one table.
+        """
         if self._table is None:
-            if self.order ** self.arity > DENSE_LIMIT:
-                raise SizeLimitError("group too large to materialize densely")
-            g, pows = self.hg.group, self.hg.phi_powers
-            m, n = self.order, self.arity
-            acc = np.arange(m).reshape((m,) + (1,) * (n - 1))
-            for k in range(1, n):
-                col = pows[k].reshape((1,) * k + (m,) + (1,) * (n - 1 - k))
-                acc = g.table[acc, col]
-            self._table = np.ascontiguousarray(g.table[acc, self.hg.b])
+            _require_small((self.order,) * self.arity)   # np.ix_ makes at most 64 axes
+            self._table = self(*np.ix_(*[np.arange(self.order)] * self.arity))
         return self._table
 
     # -- skew elements ---------------------------------------------------------
@@ -165,9 +167,7 @@ class NaryGroup:
             for k in range(1, n - 1):
                 acc = g.table[acc, pows[k]]
             skews = g.inverse[g.table[acc, self.hg.b]]
-            rows = np.repeat(xs[:, None], n, axis=1)
-            rows[:, -1] = skews
-            bad = np.flatnonzero(self.eval_batch(rows) != xs)
+            bad = np.flatnonzero(self(*(xs,) * (n - 1), skews) != xs)
             if bad.size:
                 raise InvalidGroupError(f"skew closed form failed at {int(bad[0])}")
         skews.setflags(write=False)
@@ -186,6 +186,7 @@ class NaryGroup:
             )
 
     def equals(self, other: "NaryGroup") -> bool:
+        # compares every cell
         return (
             self.arity == other.arity
             and self.order == other.order
@@ -201,6 +202,12 @@ class NaryGroup:
     def __repr__(self):
         kind = "dense" if self.hg is None else "hg"
         return f"NaryGroup(arity={self.arity}, order={self.order}, {kind})"
+
+
+def _require_small(shape: tuple[int, ...]) -> None:
+    """Raise :class:`SizeLimitError` before an hg evaluation of more than ``DENSE_LIMIT`` values."""
+    if prod(shape) > DENSE_LIMIT:
+        raise SizeLimitError(f"evaluation limited to {DENSE_LIMIT} values at once")
 
 
 # -- associativity ------------------------------------------------------------
@@ -228,10 +235,8 @@ def _fold_chunk(table: np.ndarray, n: int, i: int, lo: int, hi: int) -> np.ndarr
 
 def _fold_at(group: NaryGroup, i: int, xs: np.ndarray) -> np.ndarray:
     """Row-wise value of the i-composed fold on an (N, 2n-1) sample matrix."""
-    n = group.arity
-    inner = group.eval_batch(xs[:, i - 1:i + n - 1])
-    cols = [xs[:, k - 1] for k in range(1, i)] + [inner] + [xs[:, n + k - 2] for k in range(i + 1, n + 1)]
-    return group.eval_batch(np.stack(cols, axis=1))
+    n, cols = group.arity, xs.T
+    return group(*cols[:i - 1], group(*cols[i - 1:i + n - 1]), *cols[i + n - 1:])
 
 
 def verify_associativity(group: NaryGroup) -> VerificationReport:
@@ -247,7 +252,7 @@ def verify_associativity(group: NaryGroup) -> VerificationReport:
     m, n = group.order, group.arity
     total = m ** (2 * n - 1)
     if total <= DEFAULT_BUDGET and m ** n <= DENSE_LIMIT:
-        table = group.dense()
+        table = group.dense()   # the scan reads every cell
         chunk_len = max(1, _CHUNK_CELLS // max(1, m ** (2 * n - 2)))
         found = {}
         for lo in range(0, m, chunk_len):
@@ -291,7 +296,7 @@ def verify_quasigroup(group: NaryGroup) -> VerificationReport:
     m, n = group.order, group.arity
     want = np.arange(m)
     if m ** n <= min(DEFAULT_BUDGET, DENSE_LIMIT):
-        table = group.dense()
+        table = group.dense()   # the scan reads every line
         failures = []
         for place in range(n):
             rows = np.moveaxis(table, place, -1).reshape(-1, m)
@@ -309,9 +314,9 @@ def verify_quasigroup(group: NaryGroup) -> VerificationReport:
     fixings = sample_tuples(count, n - 1, m)
     failures = []
     for place in range(n):
-        cols = [np.repeat(fixings[:, k], m) for k in range(n - 1)]
-        cols.insert(place, np.tile(want, count))
-        vals = group.eval_batch(np.stack(cols, axis=1)).reshape(count, m)
+        args = [fixings[:, k, None] for k in range(n - 1)]
+        args.insert(place, want)
+        vals = group(*args)                  # (count, m): one line per fixing
         ok = (np.sort(vals, axis=1) == want).all(axis=1)
         bad = np.nonzero(~ok)[0]
         if bad.size:
@@ -441,7 +446,7 @@ def _difference_report(group: NaryGroup, rejection: _Rejection) -> VerificationR
     is empty or larger than that, or the search would exceed the cap; the
     caller then falls back to the scan.
     """
-    table = group.dense()
+    table = group.dense()   # the dense verifier: the difference set is read cell by cell
     m, n = group.order, group.arity
     cap = min(DEFAULT_BUDGET, m ** (2 * n - 1))
     limit = cap // (2 * n * min(_FIRST_ROWS, m ** (n - 1)))
@@ -583,7 +588,7 @@ def verify_nary_group(group: NaryGroup) -> VerificationReport:
                                     report)
         checked = m ** 3
     else:
-        rejection = _certify_dense(group.dense())
+        rejection = _certify_dense(group.dense())   # compares every cell
         if rejection is not None:
             report = _difference_report(group, rejection)
             return report if report is not None else _witness_report(group, rejection)
@@ -601,7 +606,7 @@ def _witness_report(group: NaryGroup, rejection: _Rejection) -> VerificationRepo
         return report
     if not report.sampled:
         raise RuntimeError("certificate rejected a table the exhaustive scan accepts")
-    table, want = group.dense(), np.arange(m)
+    table, want = group.dense(), np.arange(m)   # lines of the dense verifier
     for count, (place, fixed) in enumerate(_suspect_lines(m, n, rejection), start=1):
         if not np.array_equal(np.sort(np.moveaxis(table, place, -1)[fixed]), want):
             return VerificationReport.fail([(f"solvability(place={place + 1})", fixed)],
@@ -639,30 +644,22 @@ def homomorphism_certificate_rows(group: NaryGroup) -> np.ndarray:
     """
     group.require_verified()
     m, n = group.order, group.arity
-    a, abar = 0, group.skew(0)
+    a, abar, x = 0, group.skew(0), np.arange(m, dtype=np.int64)
     rows = np.full((m * m + m + 1, n), a, dtype=np.int64)
-    rows[:m * m] = _retract_rows(m, n, a)
-    rows[m * m:-1, 0], rows[m * m:-1, 1] = abar, np.arange(m)
+    rows[:m * m, 0], rows[:m * m, n - 1] = np.repeat(x, m), np.tile(x, m)
+    rows[m * m:-1, 0], rows[m * m:-1, 1] = abar, x
     rows[-1] = abar
-    return rows
-
-
-def _retract_rows(m: int, n: int, a: int) -> np.ndarray:
-    """The m^2 n-tuples (x, a^(n-2), y), x-major."""
-    x = np.arange(m, dtype=np.int64)
-    rows = np.full((m * m, n), int(a), dtype=np.int64)
-    rows[:, 0], rows[:, n - 1] = np.repeat(x, m), np.tile(x, m)
     return rows
 
 
 def retract_table(group: NaryGroup, a: int) -> np.ndarray:
     """The m x m table x.y = f(x, a^(n-2), y) of the retract at anchor ``a``.
 
-    One :meth:`NaryGroup.eval_batch` over the m^2 rows, so an hg group of any
-    size answers without its m^n table.  Nothing is verified here.
+    One evaluation on the broadcast (x, y) grid, so an hg group of any size
+    answers without its m^n table.  Nothing is verified here.
     """
-    m = group.order
-    return group.eval_batch(_retract_rows(m, group.arity, a)).reshape(m, m)
+    x = np.arange(group.order)
+    return group(x[:, None], *(int(a),) * (group.arity - 2), x)
 
 
 # -- structural predicates --------------------------------------------------------
@@ -672,13 +669,9 @@ def is_nary_identity(group: NaryGroup, e: int) -> bool:
 
     Such elements need not be unique: in (Z2, x+y+z) both elements qualify.
     """
-    m, n = group.order, group.arity
-    want = np.arange(m)
-    table = group.dense()
-    return all(
-        np.array_equal(table[(e,) * i + (slice(None),) + (e,) * (n - 1 - i)], want)
-        for i in range(n)
-    )
+    n, want = group.arity, np.arange(group.order)
+    return all(np.array_equal(group(*(e,) * i, want, *(e,) * (n - 1 - i)), want)
+               for i in range(n))
 
 
 def has_nary_identity(group: NaryGroup) -> int | None:

@@ -57,11 +57,11 @@ def covering_group(group: NaryGroup, a: int) -> CoveringGroup:
 
     Each (r, s) block of the table holds the m^2 products <x,r> * <y,s>.
     Their sequence x, a^r, y, a^s, skew(a), a^(n-2-r*s) has length n or
-    2n-1, so a block is one left fold of ``eval_batch`` over its m^2 (x, y)
-    rows: one call for length n, two for 2n-1.  The table is a group by
-    Post's theorem ("Polyadic groups", 1940), so it is not re-checked; its
-    identity must be <skew(a), n-2>, or the build raises.  The closed-form
-    inverse
+    2n-1, so a block is one left fold of the operation on the broadcast
+    (x, y) grid: one evaluation for length n, two for 2n-1.  The table is a
+    group by Post's theorem ("Polyadic groups", 1940), so it is not
+    re-checked; its identity must be <skew(a), n-2>, or the build raises.
+    The closed-form inverse
     ``<fold(skew(a), a^(n-2-t), skew(x), x^(n-3), skew(a), a^(n-2-k)), k>``
     with ``k = (n-3-t) mod (n-1)`` is proved equal to the table's inverse by
     the tests (``tests/oracle.py``), not here.
@@ -71,20 +71,16 @@ def covering_group(group: NaryGroup, a: int) -> CoveringGroup:
     period = n - 1
     a = int(a)
     abar = group.skew(a)
-    xs = np.repeat(np.arange(m, dtype=np.int64), m)
-    ys = np.tile(np.arange(m, dtype=np.int64), m)
+    x = np.arange(m)
     table = np.empty((m, period, m, period), dtype=np.int64)
     for r in range(period):
         for s in range(period):
             rs = (r + s + 1) % period
-            seq = (0,) + (a,) * r + (0,) + (a,) * s + (abar,) + (a,) * (n - 2 - rs)
-            rows = np.tile(np.array(seq, dtype=np.int64), (m * m, 1))
-            rows[:, 0], rows[:, r + 1] = xs, ys
-            acc = group.eval_batch(rows[:, :n])
+            seq = (x[:, None],) + (a,) * r + (x,) + (a,) * s + (abar,) + (a,) * (n - 2 - rs)
+            acc = group(*seq[:n])
             if len(seq) > n:
-                rows[:, n - 1] = acc
-                acc = group.eval_batch(rows[:, n - 1:])
-            table[:, r, :, s] = (acc * period + rs).reshape(m, m)
+                acc = group(acc, *seq[n:])
+            table[:, r, :, s] = acc * period + rs
     size = m * period
     cover = BinaryGroup(table.reshape(size, size), check=False)
     if cover.identity != abar * period + (n - 2):
@@ -134,6 +130,6 @@ def verify_embedding(cover: CoveringGroup) -> VerificationReport:
     acc = emb[rows[:, 0]]
     for k in range(1, g.arity):
         acc = table[acc, emb[rows[:, k]]]
-    bad = np.nonzero(acc != emb[g.eval_batch(rows)])[0]
+    bad = np.nonzero(acc != emb[g(*rows.T)])[0]
     failures = [("embedding-product", rows[bad[0]])] if bad.size else []
     return VerificationReport.certificate(failures, checked=len(rows))

@@ -103,7 +103,7 @@ def group_to_dict(group: NaryGroup | BinaryGroup) -> dict:
         doc["b"] = int(group.hg.b)
     else:
         doc["kind"] = "dense"
-        doc["table"] = [int(v) for v in group.dense().reshape(-1)]
+        doc["table"] = [int(v) for v in group.dense().reshape(-1)]   # a dense file lists every cell
     return doc
 
 

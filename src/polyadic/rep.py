@@ -55,7 +55,7 @@ def _verified_images(rep, verify) -> None:
         raise InvalidGroupError(f"not a representation: {f.axiom} witness={f.witness}", report)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Representation:
     """Map from carrier elements to invertible complex matrices, verified on construction."""
 
@@ -70,7 +70,7 @@ class Representation:
         return self.images.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryRepresentation:
     """Ordinary matrix representation of a finite binary group, verified on construction."""
 
@@ -85,7 +85,7 @@ class BinaryRepresentation:
         return self.images.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Character:
     """Trace vector of a representation."""
 
@@ -144,7 +144,7 @@ def verify_representation(group: NaryGroup, images) -> VerificationReport:
         acc = images[chunk[:, 0]]
         for k in range(1, group.arity):
             acc = acc @ images[chunk[:, k]]
-        want = images[group.eval_batch(chunk)]
+        want = images[group(*chunk.T)]
         err = np.abs(acc - want).reshape(len(chunk), -1).max(axis=1)
         idx = np.nonzero(err > EPS)[0]
         if idx.size:
@@ -223,10 +223,7 @@ def hat_char(char: Character, e: int, p: int) -> np.ndarray:
     g = char.group
     if abs(char.values[p] - char.dim) > EPS * 10:
         raise InvalidGroupError(f"element {p} is not in the character kernel")
-    n = g.arity
-    rows = np.full((g.order, n), int(e), dtype=np.int64)
-    rows[:, n - 2], rows[:, n - 1] = np.arange(g.order), g.skew(p)
-    return char.values[g.eval_batch(rows)]
+    return char.values[g(*(int(e),) * (g.arity - 2), np.arange(g.order), g.skew(p))]
 
 
 def lift_from_retract(group: NaryGroup, gamma: BinaryRepresentation,
@@ -434,7 +431,7 @@ def orthogonality_check(char1: Character, p1: int, char2: Character, p2: int,
 
 # -- enumeration and classification -----------------------------------------------------
 
-def one_dim_reps(group: NaryGroup, anchor: int = 0) -> list[Representation]:
+def one_dim_reps(group: NaryGroup) -> list[Representation]:
     """All 1-dim representations, through the linear characters of a cover.
 
     Enumerates the cover's linear characters (these factor through its
@@ -442,7 +439,7 @@ def one_dim_reps(group: NaryGroup, anchor: int = 0) -> list[Representation]:
     whose kernel meets the embedded carrier, restricts, deduplicates, and
     verifies each result as its :class:`Representation` is built.
     """
-    cov = covering_group(group, anchor)
+    cov = covering_group(group, 0)
     chars = linear_characters(cov.group)
     seen: dict[tuple, Representation] = {}
     for row in chars:
@@ -467,7 +464,7 @@ def one_dim_reps_bruteforce(group: NaryGroup) -> list[np.ndarray]:
     if order ** m > 5_000_000:
         raise SizeLimitError("brute-force search space too large")
     roots = np.exp(2j * np.pi * np.arange(order) / order)
-    table = group.dense()
+    table = group.dense()   # every assignment is checked on every cell
     found: dict[tuple, np.ndarray] = {}
     for combo in itertools.product(range(order), repeat=m):
         values = roots[list(combo)]

@@ -37,10 +37,8 @@ def retract(group: NaryGroup, a: int) -> BinaryGroup:
         raise InvalidGroupError(
             f"retract identity {ret.identity} differs from skew({a})={abar}"
         )
-    x = np.arange(m, dtype=np.int64)
-    rows = np.repeat(x[:, None], n, axis=1)
-    rows[:, 0], rows[:, n - 2], rows[:, n - 1] = abar, group.skew_table(), abar
-    bad = np.flatnonzero(group.eval_batch(rows) != ret.inverse)
+    x = np.arange(m)
+    bad = np.flatnonzero(group(abar, *(x,) * (n - 3), group.skew_table(), abar) != ret.inverse)
     if bad.size:
         raise InvalidGroupError(
             f"retract inverse formula disagrees with table at x={bad[0]}"
@@ -52,9 +50,7 @@ def retract_isomorphism(group: NaryGroup, e: int, p: int) -> np.ndarray:
     """The map h(x) = f(e^(n-2), x, skew(p)), verified Ret_e -> Ret_p."""
     group.require_verified()
     n, m = group.arity, group.order
-    rows = np.full((m, n), int(e), dtype=np.int64)
-    rows[:, n - 2], rows[:, n - 1] = np.arange(m), group.skew(p)
-    h = group.eval_batch(rows)
+    h = group(*(int(e),) * (n - 2), np.arange(m), group.skew(p))
     if not np.array_equal(np.sort(h), np.arange(m)):
         raise InvalidGroupError(f"retract map e={e}, p={p} is not a bijection")
     re_tab, rp_tab = retract_table(group, e), retract_table(group, p)
@@ -77,10 +73,8 @@ def hg_decompose(group: NaryGroup, a: int) -> HGData:
     n, m, a = group.arity, group.order, int(a)
     base = retract(group, a)
     abar = group.skew(a)
-    rows = np.full((m, n), a, dtype=np.int64)
-    rows[:, 0], rows[:, 1] = abar, np.arange(m)
-    b = group.eval((abar,) * n)
-    return HGData(base, group.eval_batch(rows), b, n)
+    phi = group(abar, np.arange(m), *(a,) * (n - 2))
+    return HGData(base, phi, int(group(*(abar,) * n)), n)
 
 
 def hg_construct(data: HGData, labels=None) -> NaryGroup:

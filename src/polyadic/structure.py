@@ -33,7 +33,7 @@ def verify_subgroup(group: NaryGroup, elems) -> VerificationReport:
     mask = np.zeros(group.order, dtype=bool)
     mask[elems] = True
     failures = []
-    inside = mask[group.dense()[np.ix_(*([elems] * group.arity))]]
+    inside = mask[group(*np.ix_(*[elems] * group.arity))]
     if not inside.all():
         pos = np.argwhere(~inside)[0]
         failures.append(("subgroup-closure", tuple(elems[int(i)] for i in pos)))
@@ -51,6 +51,7 @@ def is_subgroup(group: NaryGroup, elems) -> bool:
 
 def subgroup_closure(group: NaryGroup, gens) -> SubgroupRef:
     """Smallest f-closed, skew-closed subset containing ``gens``."""
+    # binary.close grows masks on a materialized table
     return close(group.dense(), group.skew_table(), [int(x) for x in gens])
 
 
@@ -72,7 +73,7 @@ def subgroups(group: NaryGroup) -> list[SubgroupRef]:
     m, n = group.order, group.arity
     if m > SUBGROUP_ORDER_LIMIT:
         raise SizeLimitError(f"subgroup enumeration limited to order {SUBGROUP_ORDER_LIMIT}")
-    table, skews = group.dense(), group.skew_table()
+    table, skews = group.dense(), group.skew_table()   # thousands of closures on one table
     found = {close(table, skews, [x]) for x in range(m)}
     todo = list(found)
     while todo:
@@ -110,7 +111,7 @@ def _is_normal(group: NaryGroup, subgroup: SubgroupRef) -> bool:
     inside = np.zeros(m, dtype=bool)
     inside[list(subgroup)] = True
     a = np.arange(m)[:, None]          # rows a, columns h
-    values = group.dense()[(a,) * (n - 3) + (group.skew_table()[a], np.flatnonzero(inside), a)]
+    values = group(*(a,) * (n - 3), group.skew_table()[a], np.flatnonzero(inside), a)
     return bool(inside[values].all())
 
 
@@ -146,8 +147,9 @@ class Partition:
 def cosets(group: NaryGroup, subgroup: SubgroupRef) -> Partition:
     """Left cosets aH = {f(a, x^(n-2), y) : x, y in H}, verified to partition.
 
-    One ``eval_batch`` over the rows (a, x^(n-2), y) gives the member matrix
-    that :func:`~polyadic.binary.coset_partition` checks and turns into blocks.
+    One evaluation on the broadcast (a, x, y) grid of (a, x^(n-2), y) gives
+    the member matrix that :func:`~polyadic.binary.coset_partition` checks
+    and turns into blocks.
     """
     _require_subgroup(group, subgroup)
     return _cosets(group, subgroup)
@@ -157,11 +159,8 @@ def _cosets(group: NaryGroup, subgroup: SubgroupRef) -> Partition:
     """:func:`cosets` of a subgroup already verified."""
     n, m = group.arity, group.order
     h = np.array(sorted(subgroup), dtype=np.int64)
-    rows = np.empty((m, len(h), len(h), n), dtype=np.int64)
-    rows[..., 0] = np.arange(m)[:, None, None]
-    rows[..., 1:n - 1] = h[:, None, None]
-    rows[..., n - 1] = h
-    blocks, index = coset_partition(group.eval_batch(rows.reshape(-1, n)).reshape(m, -1), len(h))
+    members = group(np.arange(m)[:, None, None], *(h[:, None],) * (n - 2), h)
+    blocks, index = coset_partition(members.reshape(m, -1), len(h))
     return Partition(tuple(map(tuple, blocks.tolist())), index)
 
 
@@ -196,13 +195,12 @@ def quotient(group: NaryGroup, subgroup: SubgroupRef) -> QuotientGroup:
     """
     if not is_normal(group, subgroup):
         raise InvalidGroupError(f"{subgroup} is not a normal subgroup")
+    table = group.dense()   # every choice of representatives; refused before the work
     part = _cosets(group, subgroup)
     n, cls = group.arity, part.index
     q = len(part.blocks)
-    reps = np.array(part.representatives)
-    combos = np.stack(np.unravel_index(np.arange(q ** n), (q,) * n), axis=1)
-    qtable = cls[group.eval_batch(reps[combos])].reshape((q,) * n)
-    blocked = cls[group.dense()]
+    qtable = cls[group(*np.ix_(*[part.representatives] * n))]
+    blocked = cls[table]
     expected = qtable[np.ix_(*([cls] * n))]
     if not np.array_equal(blocked, expected):
         bad = np.argwhere(blocked != expected)[0]
@@ -218,8 +216,8 @@ def quotient(group: NaryGroup, subgroup: SubgroupRef) -> QuotientGroup:
 
 def is_central(group: NaryGroup, c: int) -> bool:
     """Can c be swapped with a neighbouring argument without changing any value?"""
-    n, m = group.arity, group.order
-    table = group.dense()
+    n = group.arity
+    table = group.dense()   # every cell, with c at each place
     for pos in range(n - 1):
         left = np.moveaxis(table, (pos, pos + 1), (0, 1))[c]      # c at pos
         right = np.moveaxis(table, (pos, pos + 1), (0, 1))[:, c]  # c at pos+1

@@ -17,7 +17,9 @@ The action and predicate oracles are the scans those checks ran before the
 certificates: ``exhaustive_action_scan`` gathers every (n-tuple, point),
 ``semiabelian_scan`` swaps two axes of the dense table and
 ``medial_grid_scan`` composes every n x n grid.  The ``*_by_eval`` functions
-are the per-element loops that single ``eval_batch`` calls replaced.
+are the per-element loops that single evaluations ``group(*xs)`` replaced, and
+``eval_by_hg_formula`` is the hg backend's old scalar fold, one ``mul`` at a
+time.
 
 The subset oracles are the loops of the binary and n-ary subset operations:
 ``closure_by_frontier`` grows a closure one ``mul`` at a time,
@@ -162,6 +164,15 @@ def eval_long(group, xs, fold="left"):
     return group.eval(xs)
 
 
+def eval_by_hg_formula(group, xs):
+    """x1 phi(x2) ... phi^(n-1)(xn) b of an hg-backed group, one ``mul`` at a time."""
+    g, pows = group.hg.group, group.hg.phi_powers
+    acc = int(xs[0])
+    for k in range(1, group.arity):
+        acc = g.mul(acc, int(pows[k][xs[k]]))
+    return g.mul(acc, group.hg.b)
+
+
 def cover_table_by_eval_long(group, a):
     """The covering group's table at anchor ``a``, one ``eval_long`` call per cell."""
     m, n = group.order, group.arity
@@ -206,7 +217,7 @@ def exhaustive_representation_scan(group, images, eps=EPS):
     acc = images[rows[:, 0]]
     for k in range(1, n):
         acc = acc @ images[rows[:, k]]
-    err = np.abs(acc - images[group.eval_batch(rows)]).reshape(len(rows), -1).max(axis=1)
+    err = np.abs(acc - images[group(*rows.T)]).reshape(len(rows), -1).max(axis=1)
     bad = np.nonzero(err > eps)[0]
     failures = [("homomorphism", rows[bad[0]])] if bad.size else []
     eye = np.eye(d)
@@ -229,7 +240,7 @@ def exhaustive_embedding_scan(cover):
     acc = emb[rows[:, 0]]
     for k in range(1, group.arity):
         acc = table[acc, emb[rows[:, k]]]
-    bad = np.nonzero(acc != emb[group.eval_batch(rows)])[0]
+    bad = np.nonzero(acc != emb[group(*rows.T)])[0]
     if bad.size:
         return P.VerificationReport.fail([("embedding-product", rows[bad[0]])], checked=len(rows))
     return P.VerificationReport.ok(checked=len(rows))
@@ -317,9 +328,9 @@ def medial_two_cell_witness(group):
     idx = np.arange(len(grids))
     grids[idx, p[pair]], grids[idx, q[pair]] = x, y
     grids = grids.reshape(-1, n, n)
-    rows = np.stack([group.eval_batch(grids[:, r, :]) for r in range(n)], axis=1)
-    cols = np.stack([group.eval_batch(grids[:, :, c]) for c in range(n)], axis=1)
-    bad = np.flatnonzero(group.eval_batch(rows) != group.eval_batch(cols))
+    rows = [group(*grids[:, r, :].T) for r in range(n)]
+    cols = [group(*grids[:, :, c].T) for c in range(n)]
+    bad = np.flatnonzero(group(*rows) != group(*cols))
     return grids[bad[0]] if bad.size else None
 
 

@@ -92,6 +92,20 @@ class TestExitCodes:
         assert code == 1
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize("command,flag,values", [
+        ("retract", "--at", ["-1", "6"]),
+        ("hg", "--at", ["-1", "6"]),
+        ("cover", "--at", ["-2", "7"]),
+        ("centralizer", "--of", ["-1", "9"]),
+        ("quotient", "--subgroup", ["0,9", "0,-1", ",", "0,a"]),
+    ])
+    def test_element_outside_the_carrier_exits_two(self, capsys, files, command, flag, values):
+        # S3T has order 6: each value is checked once the group is loaded
+        for value in values:
+            assert main([command, files["S3T"], flag, value]) == 2, value
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: {flag} takes element indices in 0..5"), value
+
     def test_binary_group_file_verifies(self, capsys, tmp_path):
         path = tmp_path / "z4.json"
         save_group(P.cyclic_group(4), path)

@@ -30,10 +30,65 @@ class TestEval:
         for xs in itertools.product(range(2), repeat=3):
             assert rebuilt.eval(xs) == t2b.eval(xs)
 
-    def test_eval_batch_matches_eval(self, z4m):
-        rows = np.array(list(itertools.product(range(4), repeat=3)))
-        batch = z4m.eval_batch(rows)
-        assert all(batch[i] == z4m.eval(tuple(r)) for i, r in enumerate(rows))
+    def test_call_matches_eval(self, fixtures, hg_stock):
+        # scalars, rows and np.ix_ grids; a cold hg group and its dense copy
+        for name, group in list(fixtures.items()) + hg_stock:
+            m, n = group.order, group.arity
+            tuples = list(itertools.product(range(m), repeat=n))
+            flat = [group.eval(xs) for xs in tuples]
+            cold = group if group.hg is None else P.NaryGroup.from_hg(group.hg)
+            if group.hg is not None:
+                assert flat == [oracle.eval_by_hg_formula(group, xs) for xs in tuples], name
+            for g in (cold, P.NaryGroup(n, m, table=cold.dense().copy())):
+                assert [int(g(*xs)) for xs in tuples] == flat, name
+                assert g(*oracle.all_tuples(m, n).T).tolist() == flat, name
+                assert g(*np.ix_(*[np.arange(m)] * n)).reshape(-1).tolist() == flat, name
+
+    def test_call_checks_the_arity(self, t2):
+        with pytest.raises(ValueError, match="expected 3"):
+            t2(0, 1)
+
+    def test_hg_dense_is_a_writable_grid_evaluation(self, hg_stock):
+        group = P.NaryGroup.from_hg(hg_stock[0][1].hg)
+        table = group.dense()
+        assert table is group.dense() and table.flags.writeable and table.flags.c_contiguous
+        assert table.shape == (group.order,) * group.arity
+
+
+class TestAboveDenseLimit:
+    """derived(D8 x Z4, n = 6) has 2^36 cells; questions that read a few of them answer."""
+
+    @pytest.fixture()
+    def base_and_group(self, monkeypatch):
+        base = P.direct_product(P.dihedral_group(8), P.cyclic_group(4))
+        group = P.derived(base, 6)
+        monkeypatch.setattr(P.NaryGroup, "dense", lambda self: pytest.fail("dense() called"))
+        return base, group
+
+    def test_subgroup_questions_answer(self, base_and_group):
+        base, group = base_and_group
+        # a derived group's subgroups, normality and cosets are its base's:
+        # {e} x Z4 is normal, a reflection's subgroup {e, (s, 0)} is not
+        for h, normal in (((0, 1, 2, 3), True), ((0, 32), False)):
+            assert P.verify_subgroup(group, h).passed
+            assert P.is_normal(group, h) == normal == base.is_normal_subgroup(h)
+            want = sorted({tuple(sorted(base.table[a, list(h)].tolist())) for a in range(64)})
+            assert list(P.cosets(group, h).blocks) == want
+        assert P.verify_subgroup(group, (0, 1)).first().axiom == "subgroup-closure"
+        assert [e for e in range(group.order) if P.is_nary_identity(group, e)] == [base.identity]
+
+    def test_full_grid_refused(self, base_and_group):
+        _, group = base_and_group
+        with pytest.raises(P.SizeLimitError):
+            group(*np.ix_(*[np.arange(group.order)] * group.arity))
+
+    def test_arity_beyond_numpy_operand_limit(self):
+        # np.broadcast takes at most 64 operands; the size guard takes any number
+        group = P.derived(P.cyclic_group(3), 70)
+        assert group.eval((1,) * 70) == 1
+        assert group(*[np.arange(3)] * 70).tolist() == [0, 1, 2]   # 70 x = x mod 3
+        with pytest.raises(P.SizeLimitError):
+            group.dense()
 
 
 class TestEvalLong:
@@ -359,7 +414,7 @@ class TestSkew:
 
     def test_broken_hg_closed_form_names_first_element(self, t2b, monkeypatch):
         group = P.NaryGroup.from_hg(P.hg_decompose(t2b, 0))
-        monkeypatch.setattr(P.NaryGroup, "eval_batch", lambda self, xs: (xs[:, 0] + 1) % self.order)
+        monkeypatch.setattr(P.NaryGroup, "__call__", lambda self, *xs: (xs[0] + 1) % self.order)
         with pytest.raises(P.InvalidGroupError, match="closed form failed at 0"):
             group.skew_table()
 

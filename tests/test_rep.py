@@ -167,6 +167,24 @@ class TestVerifiedOnConstruction:
         assert calls == ["n-ary", "n-ary"]
 
 
+class TestValueEquality:
+    def test_values_holding_arrays_compare_by_identity(self):
+        # == and hash are identity's, as for Partition; equivalence is ``equivalent``
+        group = P.derived(P.cyclic_group(2), 3)
+        ones = np.ones((2, 1, 1))
+        makers = [
+            lambda: P.Representation(group, ones),
+            lambda: P.BinaryRepresentation(P.retract(group, 0), ones),
+            lambda: P.character(P.Representation(group, ones)),
+            lambda: P.hg_decompose(group, 0),
+            lambda: P.canonical_action(group),
+        ]
+        for make in makers:
+            a, b = make(), make()
+            assert a == a and a != b and a in [b, a] and a not in [b], type(a)
+            assert len({a, b, a}) == 2, type(a)
+
+
 class TestCertificate:
     """The homomorphism certificate against the scan of every n-tuple."""
 
@@ -517,9 +535,12 @@ class TestOneDimReps:
                 assert P.verify_representation(group, rep.images).passed
 
     def test_anchor_choice_irrelevant(self, z4m):
-        base = P.value_vector_set(P.one_dim_reps(z4m, anchor=0))
-        for a in range(1, 4):
-            assert P.value_vector_set(P.one_dim_reps(z4m, anchor=a)) == base
+        # the restrictions of the linear characters of the cover at any anchor
+        base = P.value_vector_set(P.one_dim_reps(z4m))
+        for a in range(4):
+            cov = P.covering_group(z4m, a)
+            rows = linear_characters(cov.group)[:, cov.embed]
+            assert P.value_vector_set(r for r in rows if np.abs(r - 1).min() <= 1e-9) == base
 
 
 class TestTernaryMinusClassification:

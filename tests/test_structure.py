@@ -178,6 +178,14 @@ class TestQuotient:
         assert P.quotient(s3t, A3).group.order == 2
         assert P.quotient(z4m, (0, 2)).group.order == 2
 
+    def test_refused_above_the_dense_limit_before_the_cosets(self, monkeypatch):
+        # derived(D8 x Z4, n = 6) has 2^36 cells; its 16^6-cell quotient table was built, then refused
+        import polyadic.structure
+        group = P.derived(P.direct_product(P.dihedral_group(8), P.cyclic_group(4)), 6)
+        monkeypatch.setattr(polyadic.structure, "_cosets", lambda *args: pytest.fail("cosets built"))
+        with pytest.raises(P.SizeLimitError):
+            P.quotient(group, (0, 1, 2, 3))
+
 
 class TestCentral:
     def test_central_elements(self, fixtures, s3t):
