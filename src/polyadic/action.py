@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binary import read_only
 from .core import NaryGroup, homomorphism_certificate_rows, is_semiabelian
 from .errors import InvalidGroupError
 from .report import VerificationReport
@@ -21,14 +22,14 @@ from .structure import Partition, SubgroupRef, _require_subgroup, verify_subgrou
 
 @dataclass(frozen=True, eq=False)
 class Action:
-    """Materialized action table: ``table[x, a]`` is the image of point a under x."""
+    """Materialized action table: ``table[x, a]`` is the image of point a under x (a read-only copy)."""
 
     group: NaryGroup
     npoints: int
     table: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "table", np.asarray(self.table, dtype=np.int64))
+        object.__setattr__(self, "table", read_only(np.array(self.table, dtype=np.int64)))
         if self.table.shape != (self.group.order, self.npoints):
             raise InvalidGroupError("action table must be (order, npoints)")
         if self.table.size and (self.table.min() < 0 or self.table.max() >= self.npoints):
@@ -72,7 +73,6 @@ def verify_action(act: Action) -> VerificationReport:
 
 def canonical_action(group: NaryGroup) -> Action:
     """The self-action x.a = f(x, a, x^(n-3), skew(x)), one evaluation on the (x, a) grid."""
-    group.require_verified()
     m, n = group.order, group.arity
     x = np.arange(m)[:, None]
     return Action(group, m, group(x, np.arange(m), *(x,) * (n - 3), group.skew_table()[x]))

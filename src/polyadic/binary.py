@@ -24,6 +24,12 @@ from .report import VerificationReport
 ISO_ORDER_LIMIT = 64
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only."""
+    array.setflags(write=False)
+    return array
+
+
 def verify_binary_table(table: np.ndarray) -> VerificationReport:
     """Check that an m x m index table is a group: identity, inverses, associativity."""
     table = np.asarray(table)
@@ -110,12 +116,12 @@ class BinaryGroup:
     ``check`` verifies the table and keeps the report as ``report`` (a
     failure raises, carrying it).  ``check=False`` is for tables that a
     theorem makes a group, given a verified parent; ``report`` is then None.
-    The table is a read-only copy, so the report stays true of it.
+    The table is a read-only copy, so the report stays true of it, and
+    ``inverse`` is read-only too.
     """
 
     def __init__(self, table, check: bool = True):
-        self.table = np.array(table, dtype=np.int64, order="C")
-        self.table.setflags(write=False)
+        self.table = read_only(np.array(table, dtype=np.int64, order="C"))
         self.order = self.table.shape[0]
         self.report = verify_binary_table(self.table) if check else None
         if check and not self.report.passed:
@@ -124,7 +130,7 @@ class BinaryGroup:
         self.identity = _identity(self.table)
         if self.identity is None:
             raise InvalidGroupError("not a group: identity-missing witness=()")
-        self.inverse = np.argmax(self.table == self.identity, axis=1)
+        self.inverse = read_only(np.argmax(self.table == self.identity, axis=1))
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -441,7 +447,8 @@ class HGData:
     The invariants are the classical decomposition conditions: phi fixes b,
     and phi^(n-1) is conjugation by b; the n-ary operation is then
     ``x1 * phi(x2) * phi^2(x3) * ... * phi^(n-1)(xn) * b``.  They are checked
-    on construction, and ``phi`` is kept as a read-only copy.
+    on construction; ``phi`` is kept as a read-only copy and ``phi_powers``
+    is read-only.
     """
 
     group: BinaryGroup
@@ -450,9 +457,7 @@ class HGData:
     arity: int
 
     def __post_init__(self):
-        phi = np.array(self.phi, dtype=np.int64)
-        phi.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi", read_only(np.array(self.phi, dtype=np.int64)))
         if self.arity < 3:
             raise InvalidGroupError("arity must be at least 3")
         if not is_automorphism(self.group, self.phi):
@@ -475,7 +480,7 @@ class HGData:
         out[0] = np.arange(m)
         for k in range(1, self.arity):
             out[k] = self.phi[out[k - 1]]
-        return out
+        return read_only(out)
 
 
 # Small-group constructors, mostly for fixtures and randomized test stock.

@@ -1,27 +1,28 @@
-"""Finite n-ary groupoids and the polyadic group axioms.
+"""Finite n-ary groups and the polyadic group axioms.
 
-An :class:`NaryGroup` is a carrier {0..m-1} with an n-ary operation (n >= 3)
-held either as a dense table of m^n element indices or in decomposed form as
+An :class:`NaryGroup` is a carrier {0..m-1} with an n-ary operation (n >= 3),
+given as a dense table of m^n element indices or in decomposed form as
 :class:`~polyadic.binary.HGData` (binary group, automorphism, twist element).
-Every evaluation goes through ``group(*xs)``, which applies the operation
-elementwise to broadcast index arguments: one gather on a dense table, the
-Hosszú–Gluskin fold on the decomposed form.  Only code that reads every
-cell materializes the m^n table with :meth:`NaryGroup.dense`.
+The constructor decides the axioms and keeps the verdict as ``report``.  A
+verified group is its Hosszú–Gluskin decomposition: a passing table is kept
+only as the anchor-0 data its certificate built (m^2 + m values).  Every
+evaluation is ``group(*xs)``, elementwise on broadcast index arguments: the
+fold, or one gather once :meth:`NaryGroup.dense` has cached the m^n table.
+A failing table answers only the verifiers; evaluating it raises.
 
-:func:`verify_nary_group` decides the axioms exactly with a Hosszú–Gluskin
-certificate: a table is an n-ary group iff it equals
-``x1 phi(x2) ... phi^(n-1)(xn) b`` for a valid decomposition, which costs
-O(n m^n + m^3) to check.  Passing verdicts are therefore never sampled.  A
-rejected table gets the lexicographically first witness of each violated
-axiom, (i,j)-associativity for all argument pairs and unique solvability at
-every place, as the exhaustive scan would report it.  The witnesses are
-searched for among the tuples and lines that read the difference set, the
-cells where the table leaves a valid decomposition; only when that search
-cannot run within the fixed tuple budget ``DEFAULT_BUDGET`` do
-:func:`verify_associativity` and :func:`verify_quasigroup` scan, exhaustively
-within the budget and by deterministic sampling above it.  No argument,
-flag or environment variable changes the budget, so a verdict and its
-witnesses depend on the table alone.
+The certificate decides the axioms exactly: a table is an n-ary group iff it
+equals ``x1 phi(x2) ... phi^(n-1)(xn) b`` for a valid decomposition, which
+costs O(n m^n + m^3) to check.  Passing verdicts are therefore never
+sampled.  A rejected table gets the lexicographically first witness of each
+violated axiom, (i,j)-associativity for all argument pairs and unique
+solvability at every place, as the exhaustive scan would report it.  The
+witnesses are searched for among the tuples and lines that read the
+difference set, the cells where the table leaves a valid decomposition; only
+when that search cannot run within the fixed tuple budget ``DEFAULT_BUDGET``
+do :func:`verify_associativity` and :func:`verify_quasigroup` scan,
+exhaustively within the budget and by deterministic sampling above it.  No
+argument, flag or environment variable changes the budget, so a verdict and
+its witnesses depend on the table alone.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .binary import BinaryGroup, HGData, verify_binary_table
+from .binary import BinaryGroup, HGData, read_only, verify_binary_table
 from .errors import InvalidGroupError, SizeLimitError
 from .report import DEFAULT_BUDGET, SAMPLE_COUNT, VerificationReport, sample_tuples
 
@@ -42,8 +43,17 @@ _CHUNK_CELLS = 1 << 21
 _FIRST_ROWS, _MAX_ROWS = 256, 1 << 16   # chunk sizes of the difference-set search
 
 
+def within_dense_limit(order: int, arity: int) -> bool:
+    """Does m^n fit ``DENSE_LIMIT``?  Never forms a power above 2^24 of 25 or more axes."""
+    return arity <= 24 and order ** arity <= DENSE_LIMIT
+
+
 class NaryGroup:
-    """Carrier {0..m-1} with an n-ary operation, dense or decomposed backend."""
+    """Carrier {0..m-1} with an n-ary operation, verified on construction.
+
+    ``report`` is the verdict.  ``kind`` ("dense" or "hg") is the form the
+    operation was given in, which the file writer keeps.
+    """
 
     def __init__(self, arity: int, order: int, table=None, hg: HGData | None = None,
                  labels: Sequence[str] | None = None):
@@ -58,26 +68,40 @@ class NaryGroup:
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != self.order:
             raise InvalidGroupError("label list length must equal the order")
-        self._table = None
-        self.hg = hg
+        m, n = self.order, self.arity
+        self._table = None      # the dense() cache
+        self._rejected = None   # a failing table, read by the verifiers alone
         if table is not None:
-            if self.order ** self.arity > DENSE_LIMIT:
+            self.kind = "dense"
+            if not within_dense_limit(m, n):
                 raise SizeLimitError(
                     f"dense tables limited to {DENSE_LIMIT} entries; use the hg backend"
                 )
             arr = np.asarray(table, dtype=np.int64)
-            if arr.size != self.order ** self.arity:
-                raise InvalidGroupError(
-                    f"table needs {self.order ** self.arity} entries, got {arr.size}"
-                )
+            if arr.size != m ** n:
+                raise InvalidGroupError(f"table needs {m ** n} entries, got {arr.size}")
             # one pass: as uint64 a negative entry is huge, so max() catches both ends
-            if arr.view(np.uint64).max() >= self.order:
+            if arr.view(np.uint64).max() >= m:
                 raise InvalidGroupError("table entries must be element indices")
-            self._table = np.ascontiguousarray(arr.reshape((self.order,) * self.arity))
+            arr = np.ascontiguousarray(arr.reshape((m,) * n))
+            certified = _certify_dense(arr)
+            if isinstance(certified, HGData):
+                hg, self.report = certified, VerificationReport.certificate(checked=m ** n + m ** 3)
+            else:
+                self._rejected = arr
+                report = _difference_report(arr, certified)
+                self.report = report if report is not None else _witness_report(self, certified)
         else:
-            if hg.group.order != self.order or hg.arity != self.arity:
+            self.kind = "hg"
+            if hg.group.order != m or hg.arity != n:
                 raise InvalidGroupError("hg data does not match order/arity")
-        self._verify_report: VerificationReport | None = None
+            base = hg.group.report or verify_binary_table(hg.group.table)
+            if not base.passed:
+                f = base.first()
+                raise InvalidGroupError(f"hg base is not a group: {f.axiom} witness={f.witness}",
+                                        base)
+            self.report = VerificationReport.certificate(checked=m ** 3)
+        self._hg = hg
 
     # -- construction helpers ------------------------------------------------
 
@@ -93,27 +117,46 @@ class NaryGroup:
     def from_hg(cls, hg: HGData, labels=None) -> "NaryGroup":
         return cls(hg.arity, hg.group.order, hg=hg, labels=labels)
 
+    # -- the verdict -----------------------------------------------------------
+
+    @property
+    def hg(self) -> HGData:
+        """The certificate's anchor-0 data for a table, else the data given.
+
+        The one guard: a rejected table raises, carrying its report.
+        """
+        if self._hg is None:
+            f = self.report.first()
+            raise InvalidGroupError(f"not an n-ary group: {f.axiom} witness={f.witness}",
+                                    self.report)
+        return self._hg
+
+    def require_verified(self) -> None:
+        """Raise :class:`InvalidGroupError`, carrying the report, unless the axioms hold."""
+        self.hg   # the guard
+
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, *xs):
         """f applied elementwise to n broadcastable index arguments (ints or integer arrays).
 
-        A dense table is one gather.  The hg backend folds
-        ``x1 phi(x2) ... phi^(n-1)(xn) b`` and raises :class:`SizeLimitError`
-        before it allocates a result of more than ``DENSE_LIMIT`` values.
-        Indices are not range-checked; :meth:`eval` is the checked scalar form.
+        One gather from the :meth:`dense` cache, else the fold ``x1 phi(x2) ...
+        phi^(n-1)(xn) b``, which raises :class:`SizeLimitError` before it allocates
+        more than ``DENSE_LIMIT`` values.  Indices are not range-checked;
+        :meth:`eval` is the checked scalar form.
         """
         if len(xs) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(xs)}")
         if self._table is not None:
             return self._table[xs]
+        hg = self.hg
         # np.broadcast_shapes, unlike np.broadcast, takes any number of operands
         _require_small(np.broadcast_shapes(*map(np.shape, xs)))
-        g, pows = self.hg.group, self.hg.phi_powers
+        g, pows = hg.group, hg.phi_powers
         acc = xs[0]
         for k in range(1, self.arity):
             acc = g.table[acc, pows[k][xs[k]]]
-        return g.table[acc, self.hg.b]
+        return g.table[acc, hg.b]
 
     def eval(self, xs: Iterable[int]) -> int:
         """Apply the n-ary operation once, with the arguments checked."""
@@ -123,11 +166,10 @@ class NaryGroup:
         return int(self(*xs))
 
     def dense(self) -> np.ndarray:
-        """The full operation table, shape (m,)*n.  Cached.
+        """The full operation table, shape (m,)*n: a grid evaluation, cached and writable.
 
-        Only code that reads every cell calls it: the dense verifier and its
-        scans, :meth:`equals`, ``quotient``'s well-definedness check,
-        ``is_central``, ``is_conjugation_congruence``,
+        Only code that reads every cell calls it: the scans, ``quotient``'s
+        well-definedness check, ``is_central``, ``is_conjugation_congruence``,
         ``one_dim_reps_bruteforce`` and the dense file writer; and
         ``subgroups``/``subgroup_closure``, whose closures run on one table.
         """
@@ -148,50 +190,38 @@ class NaryGroup:
 
     @cached_property
     def _skews(self) -> np.ndarray:
-        m, n = self.order, self.arity
-        xs = np.arange(m, dtype=np.int64)
-        if self._table is not None:
-            hits = self._table[(xs,) * (n - 1)] == xs[:, None]   # row x: f(x^(n-1), z) = x
-            counts = hits.sum(axis=1)
-            bad = np.flatnonzero(counts != 1)
-            if bad.size:
-                x = int(bad[0])
-                raise InvalidGroupError(
-                    f"skew of {x} not unique: {counts[x]} solutions (unverified input?)"
-                )
-            skews = np.argmax(hits, axis=1)
-        else:
-            # closed form: inverse of phi(x) phi^2(x) ... phi^(n-2)(x) b
-            g, pows = self.hg.group, self.hg.phi_powers
-            acc = np.full(m, g.identity, dtype=np.int64)
-            for k in range(1, n - 1):
-                acc = g.table[acc, pows[k]]
-            skews = g.inverse[g.table[acc, self.hg.b]]
-            bad = np.flatnonzero(self(*(xs,) * (n - 1), skews) != xs)
-            if bad.size:
-                raise InvalidGroupError(f"skew closed form failed at {int(bad[0])}")
-        skews.setflags(write=False)
-        return skews
+        # closed form: inverse of phi(x) phi^2(x) ... phi^(n-2)(x) b
+        hg, m, n = self.hg, self.order, self.arity
+        g, pows = hg.group, hg.phi_powers
+        acc = np.full(m, g.identity, dtype=np.int64)
+        for k in range(1, n - 1):
+            acc = g.table[acc, pows[k]]
+        skews = g.inverse[g.table[acc, hg.b]]
+        xs = np.arange(m)
+        bad = np.flatnonzero(self(*(xs,) * (n - 1), skews) != xs)
+        if bad.size:
+            raise InvalidGroupError(f"skew closed form failed at {int(bad[0])}")
+        return read_only(skews)
 
     # -- bookkeeping -----------------------------------------------------------
 
-    def require_verified(self) -> None:
-        """Raise unless the group axioms have been checked and hold."""
-        if self._verify_report is None:
-            self._verify_report = verify_nary_group(self)
-        if not self._verify_report.passed:
-            f = self._verify_report.first()
-            raise InvalidGroupError(
-                f"not an n-ary group: {f.axiom} witness={f.witness}"
-            )
-
     def equals(self, other: "NaryGroup") -> bool:
-        # compares every cell
+        """Same arity, order and operation, compared through the anchor-0 decomposition.
+
+        The retract at 0, phi_0 and b_0 fix f (Hosszú–Gluskin); each is one
+        evaluation of at most m^2 values, so this is O(m^2) at any arity.
+        """
         return (
             self.arity == other.arity
             and self.order == other.order
-            and np.array_equal(self.dense(), other.dense())
+            and all(np.array_equal(x, y) for x, y in zip(self._anchor0(), other._anchor0()))
         )
+
+    def _anchor0(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The retract table, phi and b at anchor 0, evaluated."""
+        n, abar = self.arity, self.skew(0)
+        phi = self(abar, np.arange(self.order), *(0,) * (n - 2))
+        return retract_table(self, 0), phi, self(*(abar,) * n)
 
     def __eq__(self, other):
         return isinstance(other, NaryGroup) and self.equals(other)
@@ -200,8 +230,7 @@ class NaryGroup:
         return hash((self.arity, self.order))
 
     def __repr__(self):
-        kind = "dense" if self.hg is None else "hg"
-        return f"NaryGroup(arity={self.arity}, order={self.order}, {kind})"
+        return f"NaryGroup(arity={self.arity}, order={self.order}, {self.kind})"
 
 
 def _require_small(shape: tuple[int, ...]) -> None:
@@ -233,10 +262,15 @@ def _fold_chunk(table: np.ndarray, n: int, i: int, lo: int, hi: int) -> np.ndarr
     return table[tuple(index)]
 
 
-def _fold_at(group: NaryGroup, i: int, xs: np.ndarray) -> np.ndarray:
+def _fold_at(table: np.ndarray, i: int, xs: np.ndarray) -> np.ndarray:
     """Row-wise value of the i-composed fold on an (N, 2n-1) sample matrix."""
-    n, cols = group.arity, xs.T
-    return group(*cols[:i - 1], group(*cols[i - 1:i + n - 1]), *cols[i + n - 1:])
+    n, cols = table.ndim, tuple(xs.T)
+    return table[cols[:i - 1] + (table[cols[i - 1:i + n - 1]],) + cols[i + n - 1:]]
+
+
+def _cells(group: NaryGroup) -> np.ndarray:
+    """The m^n table the scans read: a rejected table as it was given, else :meth:`NaryGroup.dense`."""
+    return group.dense() if group._rejected is None else group._rejected
 
 
 def verify_associativity(group: NaryGroup) -> VerificationReport:
@@ -249,10 +283,9 @@ def verify_associativity(group: NaryGroup) -> VerificationReport:
     so the first witness of an axiom is its lexicographically lowest; above
     it a fixed-seed sample is used and the report is flagged.
     """
-    m, n = group.order, group.arity
+    m, n, table = group.order, group.arity, _cells(group)   # the scans read cells
     total = m ** (2 * n - 1)
-    if total <= DEFAULT_BUDGET and m ** n <= DENSE_LIMIT:
-        table = group.dense()   # the scan reads every cell
+    if total <= DEFAULT_BUDGET:
         chunk_len = max(1, _CHUNK_CELLS // max(1, m ** (2 * n - 2)))
         found = {}
         for lo in range(0, m, chunk_len):
@@ -272,7 +305,7 @@ def verify_associativity(group: NaryGroup) -> VerificationReport:
         return VerificationReport.ok(checked=total)
 
     xs = sample_tuples(SAMPLE_COUNT, 2 * n - 1, m)
-    folds = {i: _fold_at(group, i, xs) for i in range(1, n + 1)}
+    folds = {i: _fold_at(table, i, xs) for i in range(1, n + 1)}
     failures = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -291,12 +324,12 @@ def verify_associativity(group: NaryGroup) -> VerificationReport:
 def verify_quasigroup(group: NaryGroup) -> VerificationReport:
     """At each place i, with the other arguments fixed, z -> f(...z...) must permute.
 
-    Exhaustive while m^n is within ``DEFAULT_BUDGET``, sampled above it.
+    Exhaustive while m^n is within ``DEFAULT_BUDGET``, sampled above it.  Both
+    scans read the m^n table, so above ``DENSE_LIMIT`` they raise.
     """
-    m, n = group.order, group.arity
+    m, n, table = group.order, group.arity, _cells(group)   # the scans read lines
     want = np.arange(m)
-    if m ** n <= min(DEFAULT_BUDGET, DENSE_LIMIT):
-        table = group.dense()   # the scan reads every line
+    if m ** n <= DEFAULT_BUDGET:
         failures = []
         for place in range(n):
             rows = np.moveaxis(table, place, -1).reshape(-1, m)
@@ -316,7 +349,7 @@ def verify_quasigroup(group: NaryGroup) -> VerificationReport:
     for place in range(n):
         args = [fixings[:, k, None] for k in range(n - 1)]
         args.insert(place, want)
-        vals = group(*args)                  # (count, m): one line per fixing
+        vals = table[tuple(args)]            # (count, m): one line per fixing
         ok = (np.sort(vals, axis=1) == want).all(axis=1)
         bad = np.nonzero(~ok)[0]
         if bad.size:
@@ -386,8 +419,8 @@ def _mismatches(table: np.ndarray, data: HGData, start: int = 0):
             yield x1, np.flatnonzero(rebuilt != given)
 
 
-def _certify_dense(table: np.ndarray) -> _Rejection | None:
-    """None when the table is an n-ary group, else what the certificate saw.
+def _certify_dense(table: np.ndarray) -> HGData | _Rejection:
+    """The anchor-0 decomposition when the table is an n-ary group, else what the certificate saw.
 
     At anchor 0 (Hosszú 1963, Gluskin 1965): the skew of 0 must be unique, the
     retract must be a group, phi and b must satisfy the :class:`HGData`
@@ -402,7 +435,7 @@ def _certify_dense(table: np.ndarray) -> _Rejection | None:
     for x1, flat in _mismatches(table, data):
         rest = np.unravel_index(int(flat[0]), (m,) * (n - 1))
         return _Rejection(abar, (x1,) + tuple(int(v) for v in rest), data, flat)
-    return None
+    return data
 
 
 def _difference_set(table: np.ndarray, slices, limit: int) -> np.ndarray | None:
@@ -422,7 +455,7 @@ def _difference_set(table: np.ndarray, slices, limit: int) -> np.ndarray | None:
     return np.concatenate(cells) if cells else np.empty((0, n), dtype=np.int64)
 
 
-def _difference_report(group: NaryGroup, rejection: _Rejection) -> VerificationReport | None:
+def _difference_report(table: np.ndarray, rejection: _Rejection) -> VerificationReport | None:
     """The exhaustive scan's failure report, searched for through the difference set.
 
     The table is compared with a valid decomposition G (anchor 0's, else the
@@ -446,8 +479,7 @@ def _difference_report(group: NaryGroup, rejection: _Rejection) -> VerificationR
     is empty or larger than that, or the search would exceed the cap; the
     caller then falls back to the scan.
     """
-    table = group.dense()   # the dense verifier: the difference set is read cell by cell
-    m, n = group.order, group.arity
+    m, n = table.shape[0], table.ndim
     cap = min(DEFAULT_BUDGET, m ** (2 * n - 1))
     limit = cap // (2 * n * min(_FIRST_ROWS, m ** (n - 1)))
     data = rejection.data
@@ -517,9 +549,9 @@ def _difference_report(group: NaryGroup, rejection: _Rejection) -> VerificationR
             spent += hi - lo
             if spent > cap:
                 return None
-            fold_k = _fold_at(group, k, xs)
+            fold_k = _fold_at(table, k, xs)
             for j, ax in list(axioms.items()):
-                bad = np.flatnonzero(fold_k != _fold_at(group, j, xs))
+                bad = np.flatnonzero(fold_k != _fold_at(table, j, xs))
                 if bad.size:
                     witness = tuple(xs[bad[0]].tolist())
                     best[ax] = min(best.get(ax, witness), witness)
@@ -553,49 +585,22 @@ def _suspect_lines(m: int, n: int, rejection: _Rejection) -> list[tuple[int, tup
 
 
 def verify_nary_group(group: NaryGroup) -> VerificationReport:
-    """Decide the n-ary group axioms; a passing verdict is exact.
+    """The verdict on the n-ary group axioms, decided when ``group`` was built.
 
     A dense table passes through the Hosszú–Gluskin certificate
     (``method="certificate"``, ``checked`` = m^n compared cells + m^3 retract
-    cells).  An hg-backed group is valid by construction: :class:`HGData`
-    checked its conditions, and a base group built with ``check=True`` keeps
-    the report of its m^3 table check, which is reused.  Only a base built
-    with ``check=False`` has its table verified here (``checked`` = m^3 either
-    way); :class:`InvalidGroupError`, carrying that report, is raised if it
-    is not a group.
-
-    A rejected table's report is the exhaustive scan's: the first witness of
-    each violated axiom, associativity by axiom name then solvability by
-    place, with ``method="scan"`` and ``checked`` = m^(2n-1) + n m^n.  It is
-    found from the difference set (see :func:`_difference_report`) with every
-    evaluated tuple charged to ``DEFAULT_BUDGET``.  When no anchor decomposes
-    or the search would exceed the budget, :func:`verify_associativity` and
-    :func:`verify_quasigroup` scan instead, and their report is returned as
-    it stands.  Should a sampled scan find nothing, the lines through the
-    cells the certificate flagged are checked for unique solvability; if they
-    hold too, :class:`SizeLimitError` is raised, since the table is not an
-    n-ary group but no witness was found within the budget.  An exhaustive
-    scan that finds nothing contradicts the certificate and raises
-    :class:`RuntimeError`.
+    cells); an hg-backed group's base table is checked once, or its report
+    reused (``checked`` = m^3).  A rejected table's report is the exhaustive
+    scan's: the first witness of each violated axiom, associativity by axiom
+    name then solvability by place (``method="scan"``, ``checked`` =
+    m^(2n-1) + n m^n), found from the difference set (see
+    :func:`_difference_report`) within ``DEFAULT_BUDGET``, else by
+    :func:`verify_associativity` and :func:`verify_quasigroup`, sampled above
+    the budget.  Where no witness is found, the constructor raises
+    :class:`SizeLimitError` (sampled) or :class:`RuntimeError` (exhaustive,
+    contradicting the certificate).
     """
-    m, n = group.order, group.arity
-    if group.hg is not None:
-        base = group.hg.group
-        report = base.report or verify_binary_table(base.table)
-        if not report.passed:
-            f = report.first()
-            raise InvalidGroupError(f"hg base is not a group: {f.axiom} witness={f.witness}",
-                                    report)
-        checked = m ** 3
-    else:
-        rejection = _certify_dense(group.dense())   # compares every cell
-        if rejection is not None:
-            report = _difference_report(group, rejection)
-            return report if report is not None else _witness_report(group, rejection)
-        checked = m ** n + m ** 3
-    out = VerificationReport.certificate(checked=checked)
-    group._verify_report = out
-    return out
+    return group.report
 
 
 def _witness_report(group: NaryGroup, rejection: _Rejection) -> VerificationReport:
@@ -606,7 +611,7 @@ def _witness_report(group: NaryGroup, rejection: _Rejection) -> VerificationRepo
         return report
     if not report.sampled:
         raise RuntimeError("certificate rejected a table the exhaustive scan accepts")
-    table, want = group.dense(), np.arange(m)   # lines of the dense verifier
+    table, want = group._rejected, np.arange(m)
     for count, (place, fixed) in enumerate(_suspect_lines(m, n, rejection), start=1):
         if not np.array_equal(np.sort(np.moveaxis(table, place, -1)[fixed]), want):
             return VerificationReport.fail([(f"solvability(place={place + 1})", fixed)],
@@ -642,7 +647,6 @@ def homomorphism_certificate_rows(group: NaryGroup) -> np.ndarray:
     group must be an n-ary group: :class:`InvalidGroupError` is raised if it
     does not verify.
     """
-    group.require_verified()
     m, n = group.order, group.arity
     a, abar, x = 0, group.skew(0), np.arange(m, dtype=np.int64)
     rows = np.full((m * m + m + 1, n), a, dtype=np.int64)
@@ -691,7 +695,6 @@ def is_semiabelian(group: NaryGroup) -> bool:
     b, is the identity, so the Hosszú–Gluskin form gives
     x1 P phi^(n-1)(xn) b = xn P phi^(n-1)(x1) b.  The group must verify.
     """
-    group.require_verified()
     table = retract_table(group, 0)
     return bool(np.array_equal(table, table.T))
 

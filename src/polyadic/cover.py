@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .binary import BinaryGroup
+from .binary import BinaryGroup, read_only
 from .core import NaryGroup, homomorphism_certificate_rows, retract_table
 from .errors import InvalidGroupError
 from .report import VerificationReport
@@ -48,8 +48,8 @@ class CoveringGroup:
 
     @cached_property
     def embed(self) -> np.ndarray:
-        """Indices of the <x,0> slice identified with the carrier."""
-        return np.arange(self.base.order, dtype=np.int64) * self.period
+        """Indices of the <x,0> slice identified with the carrier, read-only."""
+        return read_only(np.arange(self.base.order, dtype=np.int64) * self.period)
 
 
 def covering_group(group: NaryGroup, a: int) -> CoveringGroup:
@@ -66,7 +66,6 @@ def covering_group(group: NaryGroup, a: int) -> CoveringGroup:
     with ``k = (n-3-t) mod (n-1)`` is proved equal to the table's inverse by
     the tests (``tests/oracle.py``), not here.
     """
-    group.require_verified()
     m, n = group.order, group.arity
     period = n - 1
     a = int(a)

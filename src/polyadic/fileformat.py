@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .binary import BinaryGroup, HGData
-from .core import NaryGroup
+from .core import DENSE_LIMIT, NaryGroup, within_dense_limit
 from .errors import InvalidGroupError, ParseError
 
 
@@ -62,8 +62,10 @@ def group_from_dict(doc: dict) -> NaryGroup | BinaryGroup:
     arity = doc.get("arity")
     _require(type(arity) is int and arity >= 3, "arity must be an integer >= 3")
     if kind == "dense":
+        _require(within_dense_limit(m, arity), f"dense tables are limited to {DENSE_LIMIT} entries")
         table = doc.get("table")
-        _require(isinstance(table, list) and len(table) == m ** arity, f"dense table needs {m ** arity} entries")
+        if not (isinstance(table, list) and len(table) == m ** arity):
+            raise ParseError(f"dense table needs {m ** arity} entries")
         _require(_are_indices(table, m), "table entries must be element indices")
         return NaryGroup(arity, m, table=np.array(table, dtype=np.int64), labels=labels)
     inner = doc.get("group")
@@ -96,13 +98,12 @@ def group_to_dict(group: NaryGroup | BinaryGroup) -> dict:
     doc = {"arity": int(group.arity), "order": int(group.order)}
     if group.labels is not None:
         doc["labels"] = list(group.labels)
-    if group.hg is not None:
-        doc["kind"] = "hg"
+    doc["kind"] = group.kind
+    if group.kind == "hg":
         doc["group"] = group_to_dict(group.hg.group)
         doc["phi"] = [int(v) for v in group.hg.phi]
         doc["b"] = int(group.hg.b)
     else:
-        doc["kind"] = "dense"
         doc["table"] = [int(v) for v in group.dense().reshape(-1)]   # a dense file lists every cell
     return doc
 
@@ -114,7 +115,7 @@ def load_group(path) -> NaryGroup | BinaryGroup:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a JSONDecodeError, or an integer too long to convert
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     return group_from_dict(doc)
 

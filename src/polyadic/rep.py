@@ -27,8 +27,8 @@ from functools import reduce
 
 import numpy as np
 
-from .binary import BinaryGroup, HGData, abelian_characters, linear_characters
-from .core import NaryGroup, homomorphism_certificate_rows, is_semiabelian, verify_nary_group
+from .binary import BinaryGroup, HGData, abelian_characters, linear_characters, read_only
+from .core import NaryGroup, homomorphism_certificate_rows, is_semiabelian
 from .cover import CoveringGroup, covering_group
 from .errors import CriterionUnavailableError, InvalidGroupError, SizeLimitError
 from .report import VerificationReport
@@ -46,8 +46,7 @@ def _mat_close(a: np.ndarray, b: np.ndarray, eps: float) -> bool:
 
 def _verified_images(rep, verify) -> None:
     """Keep ``rep.images`` as a read-only complex copy and verify them; raise on failure."""
-    arr = np.array(rep.images, dtype=complex)
-    arr.setflags(write=False)
+    arr = read_only(np.array(rep.images, dtype=complex))
     object.__setattr__(rep, "images", arr)
     report = verify(rep.group, arr)
     if not report.passed:
@@ -237,7 +236,6 @@ def lift_from_retract(group: NaryGroup, gamma: BinaryRepresentation,
     ``G(skew(x)) = G(x)^-1``): in Ret_e, f(x1..xn) = x1.f(skew(e), x2..x_(n-1),
     skew(e)).xn, so a retract representation meets it iff it is an n-ary one.
     """
-    group.require_verified()
     if not np.array_equal(gamma.group.table, retract(group, e).table):
         raise InvalidGroupError("gamma is not a representation of the retract at e")
     try:
@@ -273,7 +271,6 @@ def der_b_lift_criteria(group: NaryGroup, gamma: BinaryRepresentation,
     the ternary rule ``G((b x)^-1) = G(x)^-1``, and the character rule
     ``chi(skew(x)) = conj(chi(x))``.
     """
-    group.require_verified()
     centrals = central_elements(group)
     if not centrals:
         raise CriterionUnavailableError("group has no central element")
@@ -558,9 +555,8 @@ def coset_example_group(ambient: BinaryGroup, subgroup, a: int,
             raise InvalidGroupError("coset is not closed under the operation")
         table[combo] = pos[val]
     group = NaryGroup(arity, k, table=table)
-    report = verify_nary_group(group)
-    if not report.passed:
-        raise InvalidGroupError(f"coset operation failed: {report.first().axiom}")
+    if not group.report.passed:
+        raise InvalidGroupError(f"coset operation failed: {group.report.first().axiom}")
     return group, carrier
 
 

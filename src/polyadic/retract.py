@@ -29,7 +29,6 @@ def retract(group: NaryGroup, a: int) -> BinaryGroup:
     of a, and the inverse must match
     ``x^-1 = f(skew(a), x^(n-3), skew(x), skew(a))``; both are checked.
     """
-    group.require_verified()
     m, n, a = group.order, group.arity, int(a)
     ret = BinaryGroup(retract_table(group, a), check=False)
     abar = group.skew(a)
@@ -48,7 +47,6 @@ def retract(group: NaryGroup, a: int) -> BinaryGroup:
 
 def retract_isomorphism(group: NaryGroup, e: int, p: int) -> np.ndarray:
     """The map h(x) = f(e^(n-2), x, skew(p)), verified Ret_e -> Ret_p."""
-    group.require_verified()
     n, m = group.arity, group.order
     h = group(*(int(e),) * (n - 2), np.arange(m), group.skew(p))
     if not np.array_equal(np.sort(h), np.arange(m)):
@@ -69,7 +67,6 @@ def hg_decompose(group: NaryGroup, a: int) -> HGData:
     The product formula itself needs no re-check: it holds at every anchor of
     every n-ary group (Hosszú–Gluskin), and the group is verified first.
     """
-    group.require_verified()
     n, m, a = group.arity, group.order, int(a)
     base = retract(group, a)
     abar = group.skew(a)

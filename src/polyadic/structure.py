@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binary import BinaryGroup, close, coset_partition
+from .binary import BinaryGroup, close, coset_partition, read_only
 from .core import NaryGroup, is_nary_identity
 from .errors import InvalidGroupError, SizeLimitError
 from .report import VerificationReport
-from .retract import retract
+from .retract import derived, retract
 
 SubgroupRef = tuple[int, ...]
 
@@ -69,7 +69,6 @@ def subgroups(group: NaryGroup) -> list[SubgroupRef]:
     itself, hence onto it, so the unique preimage x of y lies in <S, y>.
     Thus <S, y> = <S, x>, and trying y would add nothing.
     """
-    group.require_verified()
     m, n = group.order, group.arity
     if m > SUBGROUP_ORDER_LIMIT:
         raise SizeLimitError(f"subgroup enumeration limited to order {SUBGROUP_ORDER_LIMIT}")
@@ -127,8 +126,8 @@ class Partition:
 
     @classmethod
     def from_index(cls, index) -> "Partition":
-        """The partition whose block numbers, already ordered by least member, are ``index``."""
-        index = np.asarray(index, dtype=np.int64)
+        """The partition with block numbers ``index`` (ordered by least member), copied read-only."""
+        index = read_only(np.array(index, dtype=np.int64))
         members = np.argsort(index, kind="stable")
         bounds = np.cumsum(np.bincount(index))[:-1]
         return cls(tuple(tuple(b.tolist()) for b in np.split(members, bounds)), index)
@@ -160,8 +159,7 @@ def _cosets(group: NaryGroup, subgroup: SubgroupRef) -> Partition:
     n, m = group.arity, group.order
     h = np.array(sorted(subgroup), dtype=np.int64)
     members = group(np.arange(m)[:, None, None], *(h[:, None],) * (n - 2), h)
-    blocks, index = coset_partition(members.reshape(m, -1), len(h))
-    return Partition(tuple(map(tuple, blocks.tolist())), index)
+    return Partition.from_index(coset_partition(members.reshape(m, -1), len(h))[1])
 
 
 @dataclass(frozen=True)
@@ -207,8 +205,12 @@ def quotient(group: NaryGroup, subgroup: SubgroupRef) -> QuotientGroup:
         raise InvalidGroupError(
             f"blockwise operation not well-defined at {tuple(int(v) for v in bad)}"
         )
-    qgroup = NaryGroup(n, q, table=qtable)
     ident = part.blocks.index(tuple(sorted(subgroup)))
+    # At the identity block e the quotient is derived from its retract, a group by Dörnte that
+    # the constructor checks (q^3); qtable stays the dense cache, written as such, uncertified.
+    qgroup = derived(BinaryGroup(qtable[(slice(None),) + (ident,) * (n - 2) + (slice(None),)],
+                                 check=False), n)
+    qgroup._table, qgroup.kind = qtable, "dense"
     if not is_nary_identity(qgroup, ident):
         raise InvalidGroupError("subgroup block is not a quotient identity")
     return QuotientGroup(group, qgroup, part, ident)
@@ -260,7 +262,6 @@ def classify_simplicity(group: NaryGroup) -> SimplicityReport:
     """
     from .retract import hg_decompose
 
-    group.require_verified()
     m = group.order
     all_subs = subgroups(group)
     normals = tuple(h for h in all_subs if _is_normal(group, h))   # subgroups() returns closures

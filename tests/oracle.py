@@ -138,14 +138,14 @@ def witness_breaks(table, axiom, witness):
 
 
 def single_cell_mutations(group):
-    """Every table that differs from ``group``'s in exactly one cell."""
+    """(cell, table, group) for every table that differs from ``group``'s in exactly one cell."""
     table = group.dense()
     m = group.order
     for cell in np.ndindex(table.shape):
         for shift in range(1, m):
             mutated = table.copy()
             mutated[cell] = (mutated[cell] + shift) % m
-            yield cell, P.NaryGroup(group.arity, m, table=mutated)
+            yield cell, mutated, P.NaryGroup(group.arity, m, table=mutated)
 
 
 def eval_long(group, xs, fold="left"):

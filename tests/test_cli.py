@@ -83,6 +83,34 @@ class TestExitCodes:
         code, _ = run(capsys, "verify", str(path))
         assert code == 2
 
+    def test_oversized_dense_document_exits_two(self, capsys, tmp_path):
+        # 2^20000 has more than 4300 digits: the size is refused before any power is printed
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"arity": 20000, "order": 2, "kind": "dense", "table": [0, 1]}))
+        for command in ("verify", "classes"):
+            assert main([command, str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: dense tables are limited to"), command
+
+    def test_integer_too_long_to_parse_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"arity": 3, "order": ' + "9" * 5000 + ', "kind": "dense", "table": []}')
+        assert main(["verify", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: invalid JSON")
+
+    def test_internal_value_error_propagates(self, capsys, files, monkeypatch):
+        # only the library's own errors become exit 1; anything else is a bug to see
+        import polyadic.cli
+
+        def broken(group):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(polyadic.cli, "conjugacy_classes", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["classes", files["S3T"]])
+        assert capsys.readouterr().out == ""
+
     def test_unknown_subcommand_exits_two(self, capsys, files):
         code, _ = run(capsys, "frobnicate", files["T2"])
         assert code == 2

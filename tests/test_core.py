@@ -8,7 +8,7 @@ import pytest
 import oracle
 import polyadic as P
 import polyadic.core as core
-from conftest import binary_catalog
+from conftest import A3, binary_catalog
 
 
 class TestEval:
@@ -199,7 +199,7 @@ class TestCertificate:
             report = P.verify_nary_group(group)
             m, n = group.order, group.arity
             assert report.method == "certificate" and not report.sampled, name
-            compared = m ** n if group.hg is None else 0
+            compared = m ** n if group.kind == "dense" else 0
             assert report.checked == compared + m ** 3, name
             assert report.to_dict()["method"] == "certificate"
 
@@ -212,7 +212,7 @@ class TestCertificate:
     def test_agrees_with_scan_on_every_single_cell_mutation(self, fixtures):
         tables = 0
         for name, group in fixtures.items():
-            for cell, mutated in oracle.single_cell_mutations(group):
+            for cell, _, mutated in oracle.single_cell_mutations(group):
                 report = P.verify_nary_group(mutated)
                 assert report.passed == oracle.scan_verdict(mutated), (name, cell)
                 if not report.passed:
@@ -236,12 +236,12 @@ class TestCertificate:
         monkeypatch.setattr(core, "SAMPLE_COUNT", 1)
         monkeypatch.setattr(core, "DEFAULT_BUDGET", 10)
         missed = 0
-        for cell, mutated in oracle.single_cell_mutations(s3t):
+        for cell, table, mutated in oracle.single_cell_mutations(s3t):
             scan = P.verify_associativity(mutated).merge(P.verify_quasigroup(mutated))
             missed += scan.passed
             report = P.verify_nary_group(mutated)
             assert not report.passed and report.sampled, cell
-            assert oracle.witness_breaks(mutated.dense(), *report.first()), cell
+            assert oracle.witness_breaks(table, *report.first()), cell
         assert missed > 900
 
     def test_exhaustive_scan_contradicting_the_certificate_raises(self, t2, monkeypatch):
@@ -274,16 +274,106 @@ class TestCertificate:
         assert calls == [(6, 6)]
         assert P.verify_nary_group(checked).checked == 6 ** 3 and calls == [(6, 6)]
         unchecked = P.hg_construct(P.hg_decompose(s3t, 1))
-        assert unchecked.hg.group.report is None and len(calls) == 1
+        assert unchecked.hg.group.report is None and calls == [(6, 6)] * 2
         assert P.verify_nary_group(unchecked).passed and calls == [(6, 6)] * 2
 
     def test_unchecked_hg_base_that_is_no_group_raises_with_its_report(self):
         # a Latin table with identity 0 that is not associative, built unchecked
         loop = P.BinaryGroup(np.array([[0, 1, 2], [1, 2, 0], [2, 1, 0]]), check=False)
-        group = P.NaryGroup(3, 3, hg=P.HGData(loop, np.arange(3), 0, 3))
         with pytest.raises(P.InvalidGroupError, match="hg base is not a group") as exc:
-            P.verify_nary_group(group)
+            P.NaryGroup(3, 3, hg=P.HGData(loop, np.arange(3), 0, 3))
         assert exc.value.report == P.verify_binary_table(loop.table)
+
+
+class TestVerdictOnConstruction:
+    """The constructor decides the axioms; a verified group is its decomposition."""
+
+    def test_table_changed_after_construction_changes_nothing(self):
+        # the caller's table is not kept: the group answers from its anchor-0 data
+        t = P.NaryGroup.from_function(3, 2, lambda x, y, z: (x + y + z) % 2).dense().copy()
+        want = t.copy()
+        g = P.NaryGroup(3, 2, table=t)
+        t[0, 0, 0] ^= 1
+        g.require_verified()
+        assert P.verify_nary_group(g).passed
+        assert np.array_equal(g(*np.ix_(*[np.arange(2)] * 3)), want)
+        assert np.array_equal(g.dense(), want)
+        assert P.retract(g, 0).identity == 0
+
+    def test_equality_above_the_dense_limit(self, monkeypatch):
+        # derived(D8 x Z4, n = 6) has 2^36 cells; == reads the anchor-0 data
+        g = P.derived(P.direct_product(P.dihedral_group(8), P.cyclic_group(4)), 6)
+        monkeypatch.setattr(P.NaryGroup, "dense", lambda self: pytest.fail("dense() called"))
+        assert g == g
+        for a in (1, 33):
+            assert g == P.hg_construct(P.hg_decompose(g, a))
+        assert g != P.derived(P.direct_product(P.dihedral_group(8), P.cyclic_group(4)), 5)
+
+    def test_equals_agrees_with_the_dense_compare(self, fixtures, hg_stock):
+        groups = list(fixtures.values()) + [g for _, g in hg_stock]
+        groups += [P.hg_construct(P.hg_decompose(g, g.order - 1)) for g in groups]
+        groups += [P.NaryGroup(g.arity, g.order, table=g.dense().copy()) for g in groups[:10]]
+        pairs = same = 0
+        for a, b in itertools.product(groups, repeat=2):
+            if (a.arity, a.order) == (b.arity, b.order):
+                dense_equal = np.array_equal(a.dense(), b.dense())
+                assert a.equals(b) == (a == b) == dense_equal
+                pairs, same = pairs + 1, same + dense_equal
+        assert pairs > 200 and pairs > same > len(groups)
+
+    def test_rejected_table_answers_only_the_verifiers(self, s3t):
+        table = s3t.dense().copy()
+        table[1, 2, 3] = (table[1, 2, 3] + 1) % 6
+        broken = P.NaryGroup(3, 6, table=table)
+        report = P.verify_nary_group(broken)
+        assert not report.passed and broken.report is report
+        assert report == P.verify_associativity(broken).merge(P.verify_quasigroup(broken))
+        refused = [
+            lambda g: g.require_verified(), lambda g: g(0, 0, 0), lambda g: g.eval((0, 0, 0)),
+            lambda g: g.skew_table(), lambda g: g.skew(0), lambda g: g.dense(), lambda g: g.hg,
+            lambda g: g == g,
+            lambda g: P.retract(g, 0), lambda g: P.hg_decompose(g, 0),
+            lambda g: P.covering_group(g, 0), P.conjugacy_classes,
+            lambda g: P.centralizer(g, 0), P.subgroups, lambda g: P.quotient(g, A3),
+            lambda g: P.is_central(g, 0), P.one_dim_reps,
+        ]
+        for call in refused:
+            with pytest.raises(P.InvalidGroupError, match="not an n-ary group") as exc:
+                call(broken)
+            assert exc.value.report is report
+
+    def test_passing_report_kept_from_construction(self, s3t, monkeypatch):
+        group = P.NaryGroup(3, 6, table=s3t.dense().copy())
+        monkeypatch.setattr(core, "_certify_dense", lambda table: pytest.fail("certified again"))
+        assert P.verify_nary_group(group) is group.report and group.report.passed
+        assert group.kind == "dense" and group._table is None
+
+
+class TestReadOnly:
+    """The arrays a verified group rests on cannot be written."""
+
+    @staticmethod
+    def arrays(value):
+        return [(name, v) for name, v in vars(value).items() if isinstance(v, np.ndarray)]
+
+    def test_value_types_hold_read_only_arrays(self, fixtures, hg_stock):
+        seen = set()
+        for name, group in list(fixtures.items()) + hg_stock:
+            hg = group.hg
+            hg.phi_powers
+            cover = P.covering_group(group, group.order - 1)
+            cover.embed
+            values = [hg, hg.group, P.retract(group, 0), cover, cover.group,
+                      P.canonical_action(group), P.conjugacy_classes(group)]
+            values += [P.quotient(group, h).partition for h in P.subgroups(group)
+                       if P.is_normal(group, h)]
+            for value in values:
+                for attr, array in self.arrays(value) + [("skew_table", group.skew_table())]:
+                    assert not array.flags.writeable, (name, type(value).__name__, attr)
+                    seen.add((type(value).__name__, attr))
+        assert seen >= {("HGData", "phi"), ("HGData", "phi_powers"), ("BinaryGroup", "table"),
+                        ("BinaryGroup", "inverse"), ("CoveringGroup", "embed"),
+                        ("Action", "table"), ("Partition", "index")}
 
 
 def _mutate(table, cells, rng):
@@ -309,13 +399,14 @@ class TestDifferenceSet:
                 count = int(rng.integers(2, 6))
                 flat = rng.choice(table.size, size=count, replace=False)
                 cells = [np.unravel_index(int(f), table.shape) for f in flat]
-                mutated = P.NaryGroup(group.arity, group.order, table=_mutate(table, cells, rng))
+                changed = _mutate(table, cells, rng)
+                mutated = P.NaryGroup(group.arity, group.order, table=changed)
                 report = P.verify_nary_group(mutated)
                 if report.passed:
                     continue
                 scan = oracle.exhaustive_scan(mutated)
                 assert report.to_dict() == scan.to_dict(), (name, cells)
-                direct = core._difference_report(mutated, core._certify_dense(mutated.dense()))
+                direct = core._difference_report(changed, core._certify_dense(changed))
                 if direct is not None:
                     assert direct == scan, (name, cells)
                     searched += 1
@@ -327,7 +418,7 @@ class TestDifferenceSet:
         mutated = P.NaryGroup(3, 6, table=table)
         rejection = core._certify_dense(table)
         assert rejection.data is None and core._decompose(table, 1)[1] is not None
-        report = core._difference_report(mutated, rejection)
+        report = core._difference_report(table, rejection)
         assert report is not None and report == oracle.exhaustive_scan(mutated)
         assert P.verify_nary_group(mutated) == report
 
@@ -350,13 +441,13 @@ class TestDifferenceSet:
         mutated = P.NaryGroup(3, 8, table=table)
         rejection = core._certify_dense(table)
         assert rejection.data is not None
-        assert core._difference_report(mutated, rejection) is None
+        assert core._difference_report(table, rejection) is None
         assert P.verify_nary_group(mutated) == oracle.exhaustive_scan(mutated)
 
     def test_garbage_table_falls_back_to_the_scan(self):
         table = np.random.default_rng(2).integers(0, 6, size=(6, 6, 6))
         garbage = P.NaryGroup(3, 6, table=table)
-        assert core._difference_report(garbage, core._certify_dense(table)) is None
+        assert core._difference_report(table, core._certify_dense(table)) is None
         report = P.verify_nary_group(garbage)
         assert report == P.verify_associativity(garbage).merge(P.verify_quasigroup(garbage))
         assert not report.passed
@@ -398,7 +489,7 @@ class TestSkew:
 
     def test_ambiguous_skew_on_broken_table(self):
         broken = P.NaryGroup(3, 2, table=np.zeros((2, 2, 2), dtype=int))
-        with pytest.raises(P.InvalidGroupError, match="skew of 0 not unique: 2 solutions"):
+        with pytest.raises(P.InvalidGroupError, match=r"not an n-ary group: solvability\(place=1\)"):
             broken.skew(1)
 
     def test_table_equals_per_element_skew(self, fixtures, hg_stock):
