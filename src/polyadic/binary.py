@@ -116,8 +116,7 @@ class BinaryGroup:
     ``check`` verifies the table and keeps the report as ``report`` (a
     failure raises, carrying it).  ``check=False`` is for tables that a
     theorem makes a group, given a verified parent; ``report`` is then None.
-    The table is a read-only copy, so the report stays true of it, and
-    ``inverse`` is read-only too.
+    The table is a read-only copy, so the report stays true of it; ``inverse`` is read-only.
     """
 
     def __init__(self, table, check: bool = True):
@@ -447,8 +446,7 @@ class HGData:
     The invariants are the classical decomposition conditions: phi fixes b,
     and phi^(n-1) is conjugation by b; the n-ary operation is then
     ``x1 * phi(x2) * phi^2(x3) * ... * phi^(n-1)(xn) * b``.  They are checked
-    on construction; ``phi`` is kept as a read-only copy and ``phi_powers``
-    is read-only.
+    on construction; ``phi`` is a read-only copy and ``phi_powers`` read-only.
     """
 
     group: BinaryGroup

@@ -3,12 +3,11 @@
 An :class:`NaryGroup` is a carrier {0..m-1} with an n-ary operation (n >= 3),
 given as a dense table of m^n element indices or in decomposed form as
 :class:`~polyadic.binary.HGData` (binary group, automorphism, twist element).
-The constructor decides the axioms and keeps the verdict as ``report``.  A
-verified group is its Hosszú–Gluskin decomposition: a passing table is kept
-only as the anchor-0 data its certificate built (m^2 + m values).  Every
-evaluation is ``group(*xs)``, elementwise on broadcast index arguments: the
-fold, or one gather once :meth:`NaryGroup.dense` has cached the m^n table.
-A failing table answers only the verifiers; evaluating it raises.
+The constructor decides the axioms and keeps the verdict as ``report``; a
+verified group is its Hosszú–Gluskin decomposition (anchor 0's, for a table),
+and a failing table answers only the verifiers.  Every evaluation is
+``group(*xs)``, elementwise on broadcast index arguments: the fold, or one
+gather from the m^n table :meth:`NaryGroup.dense` caches.
 
 The certificate decides the axioms exactly: a table is an n-ary group iff it
 equals ``x1 phi(x2) ... phi^(n-1)(xn) b`` for a valid decomposition, which
@@ -49,10 +48,9 @@ def within_dense_limit(order: int, arity: int) -> bool:
 
 
 class NaryGroup:
-    """Carrier {0..m-1} with an n-ary operation, verified on construction.
+    """Carrier {0..m-1} with an n-ary operation, verified on construction into ``report``.
 
-    ``report`` is the verdict.  ``kind`` ("dense" or "hg") is the form the
-    operation was given in, which the file writer keeps.
+    ``kind`` ("dense" or "hg") is the form the operation was given in, which the file writer keeps.
     """
 
     def __init__(self, arity: int, order: int, table=None, hg: HGData | None = None,
@@ -87,6 +85,8 @@ class NaryGroup:
             certified = _certify_dense(arr)
             if isinstance(certified, HGData):
                 hg, self.report = certified, VerificationReport.certificate(checked=m ** n + m ** 3)
+                if not (isinstance(table, np.ndarray) and np.may_share_memory(arr, table)):
+                    self._table = arr   # built here from a list or a cast: no caller holds it
             else:
                 self._rejected = arr
                 report = _difference_report(arr, certified)
@@ -117,14 +117,18 @@ class NaryGroup:
     def from_hg(cls, hg: HGData, labels=None) -> "NaryGroup":
         return cls(hg.arity, hg.group.order, hg=hg, labels=labels)
 
+    @classmethod
+    def _with_dense_cache(cls, hg: HGData, table: np.ndarray) -> "NaryGroup":
+        """The group of ``hg``, read as ``table``, its known operation, kept uncertified as the cache."""
+        group = cls.from_hg(hg)
+        group._table, group.kind = table, "dense"
+        return group
+
     # -- the verdict -----------------------------------------------------------
 
     @property
     def hg(self) -> HGData:
-        """The certificate's anchor-0 data for a table, else the data given.
-
-        The one guard: a rejected table raises, carrying its report.
-        """
+        """The anchor-0 data the certificate built, or the data given; the one guard of a rejected table."""
         if self._hg is None:
             f = self.report.first()
             raise InvalidGroupError(f"not an n-ary group: {f.axiom} witness={f.witness}",
@@ -166,12 +170,12 @@ class NaryGroup:
         return int(self(*xs))
 
     def dense(self) -> np.ndarray:
-        """The full operation table, shape (m,)*n: a grid evaluation, cached and writable.
+        """The full operation table, shape (m,)*n: cached and writable; kept from the constructor
+        when it built the array, else a grid evaluation.
 
-        Only code that reads every cell calls it: the scans, ``quotient``'s
-        well-definedness check, ``is_central``, ``is_conjugation_congruence``,
-        ``one_dim_reps_bruteforce`` and the dense file writer; and
-        ``subgroups``/``subgroup_closure``, whose closures run on one table.
+        Only code that reads every cell calls it: the scans, ``quotient``,
+        ``is_central``, ``is_conjugation_congruence``, ``one_dim_reps_bruteforce``,
+        the dense file writer and ``subgroups``/``subgroup_closure``.
         """
         if self._table is None:
             _require_small((self.order,) * self.arity)   # np.ix_ makes at most 64 axes
@@ -209,13 +213,14 @@ class NaryGroup:
         """Same arity, order and operation, compared through the anchor-0 decomposition.
 
         The retract at 0, phi_0 and b_0 fix f (Hosszú–Gluskin); each is one
-        evaluation of at most m^2 values, so this is O(m^2) at any arity.
+        evaluation of at most m^2 values, so this is O(m^2) at any arity.  A
+        rejected table equals only a rejected table with the same cells.
         """
-        return (
-            self.arity == other.arity
-            and self.order == other.order
-            and all(np.array_equal(x, y) for x, y in zip(self._anchor0(), other._anchor0()))
-        )
+        if self.arity != other.arity or self.order != other.order:
+            return False
+        if self._rejected is not None or other._rejected is not None:   # None equals no table
+            return np.array_equal(self._rejected, other._rejected)
+        return all(np.array_equal(x, y) for x, y in zip(self._anchor0(), other._anchor0()))
 
     def _anchor0(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The retract table, phi and b at anchor 0, evaluated."""
@@ -262,15 +267,15 @@ def _fold_chunk(table: np.ndarray, n: int, i: int, lo: int, hi: int) -> np.ndarr
     return table[tuple(index)]
 
 
-def _fold_at(table: np.ndarray, i: int, xs: np.ndarray) -> np.ndarray:
-    """Row-wise value of the i-composed fold on an (N, 2n-1) sample matrix."""
-    n, cols = table.ndim, tuple(xs.T)
-    return table[cols[:i - 1] + (table[cols[i - 1:i + n - 1]],) + cols[i + n - 1:]]
+def _fold_at(ev, i: int, xs: np.ndarray) -> np.ndarray:
+    """Row-wise value of the i-composed fold of the evaluator ``ev`` on an (N, 2n-1) sample matrix."""
+    n, cols = (xs.shape[1] + 1) // 2, xs.T
+    return ev(*cols[:i - 1], ev(*cols[i - 1:i + n - 1]), *cols[i + n - 1:])
 
 
-def _cells(group: NaryGroup) -> np.ndarray:
-    """The m^n table the scans read: a rejected table as it was given, else :meth:`NaryGroup.dense`."""
-    return group.dense() if group._rejected is None else group._rejected
+def _gather(table: np.ndarray):
+    """The evaluator of a table as given: what the scans read of a rejected one."""
+    return lambda *xs: table[xs]
 
 
 def verify_associativity(group: NaryGroup) -> VerificationReport:
@@ -283,9 +288,10 @@ def verify_associativity(group: NaryGroup) -> VerificationReport:
     so the first witness of an axiom is its lexicographically lowest; above
     it a fixed-seed sample is used and the report is flagged.
     """
-    m, n, table = group.order, group.arity, _cells(group)   # the scans read cells
+    m, n, rejected = group.order, group.arity, group._rejected
     total = m ** (2 * n - 1)
-    if total <= DEFAULT_BUDGET:
+    if total <= DEFAULT_BUDGET and m ** n <= DENSE_LIMIT:
+        table = group.dense() if rejected is None else rejected   # the scan reads every cell
         chunk_len = max(1, _CHUNK_CELLS // max(1, m ** (2 * n - 2)))
         found = {}
         for lo in range(0, m, chunk_len):
@@ -305,7 +311,8 @@ def verify_associativity(group: NaryGroup) -> VerificationReport:
         return VerificationReport.ok(checked=total)
 
     xs = sample_tuples(SAMPLE_COUNT, 2 * n - 1, m)
-    folds = {i: _fold_at(table, i, xs) for i in range(1, n + 1)}
+    ev = group if rejected is None else _gather(rejected)
+    folds = {i: _fold_at(ev, i, xs) for i in range(1, n + 1)}
     failures = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -324,12 +331,12 @@ def verify_associativity(group: NaryGroup) -> VerificationReport:
 def verify_quasigroup(group: NaryGroup) -> VerificationReport:
     """At each place i, with the other arguments fixed, z -> f(...z...) must permute.
 
-    Exhaustive while m^n is within ``DEFAULT_BUDGET``, sampled above it.  Both
-    scans read the m^n table, so above ``DENSE_LIMIT`` they raise.
+    Exhaustive while m^n is within ``DEFAULT_BUDGET``, sampled above it.
     """
-    m, n, table = group.order, group.arity, _cells(group)   # the scans read lines
+    m, n, rejected = group.order, group.arity, group._rejected
     want = np.arange(m)
-    if m ** n <= DEFAULT_BUDGET:
+    if m ** n <= min(DEFAULT_BUDGET, DENSE_LIMIT):
+        table = group.dense() if rejected is None else rejected   # the scan reads every line
         failures = []
         for place in range(n):
             rows = np.moveaxis(table, place, -1).reshape(-1, m)
@@ -349,7 +356,7 @@ def verify_quasigroup(group: NaryGroup) -> VerificationReport:
     for place in range(n):
         args = [fixings[:, k, None] for k in range(n - 1)]
         args.insert(place, want)
-        vals = table[tuple(args)]            # (count, m): one line per fixing
+        vals = (group if rejected is None else _gather(rejected))(*args)   # one line per fixing
         ok = (np.sort(vals, axis=1) == want).all(axis=1)
         bad = np.nonzero(~ok)[0]
         if bad.size:
@@ -511,7 +518,7 @@ def _difference_report(table: np.ndarray, rejection: _Rejection) -> Verification
                 solvability.append((f"solvability(place={place + 1})", tuple(fixed)))
                 break
 
-    g = data.group
+    g, ev = data.group, _gather(table)
     prefix, tail = _rebuilt_slices(data)
     solve = np.argsort(tail, axis=1)      # tail[p, solve[p, v]] == v
     inner = m ** (n - 2)
@@ -549,9 +556,9 @@ def _difference_report(table: np.ndarray, rejection: _Rejection) -> Verification
             spent += hi - lo
             if spent > cap:
                 return None
-            fold_k = _fold_at(table, k, xs)
+            fold_k = _fold_at(ev, k, xs)
             for j, ax in list(axioms.items()):
-                bad = np.flatnonzero(fold_k != _fold_at(table, j, xs))
+                bad = np.flatnonzero(fold_k != _fold_at(ev, j, xs))
                 if bad.size:
                     witness = tuple(xs[bad[0]].tolist())
                     best[ax] = min(best.get(ax, witness), witness)
@@ -587,18 +594,16 @@ def _suspect_lines(m: int, n: int, rejection: _Rejection) -> list[tuple[int, tup
 def verify_nary_group(group: NaryGroup) -> VerificationReport:
     """The verdict on the n-ary group axioms, decided when ``group`` was built.
 
-    A dense table passes through the Hosszú–Gluskin certificate
-    (``method="certificate"``, ``checked`` = m^n compared cells + m^3 retract
-    cells); an hg-backed group's base table is checked once, or its report
-    reused (``checked`` = m^3).  A rejected table's report is the exhaustive
-    scan's: the first witness of each violated axiom, associativity by axiom
-    name then solvability by place (``method="scan"``, ``checked`` =
-    m^(2n-1) + n m^n), found from the difference set (see
+    A passing table's report is the Hosszú–Gluskin certificate's
+    (``method="certificate"``, ``checked`` = m^n cells + m^3 retract cells; m^3
+    for an hg group, whose base is checked once or its report reused).  A
+    rejected table's is the exhaustive scan's: the first witness of each violated
+    axiom, associativity by name then solvability by place (``method="scan"``,
+    ``checked`` = m^(2n-1) + n m^n), found from the difference set (see
     :func:`_difference_report`) within ``DEFAULT_BUDGET``, else by
     :func:`verify_associativity` and :func:`verify_quasigroup`, sampled above
-    the budget.  Where no witness is found, the constructor raises
-    :class:`SizeLimitError` (sampled) or :class:`RuntimeError` (exhaustive,
-    contradicting the certificate).
+    the budget.  Where none is found the constructor raises
+    :class:`SizeLimitError` (sampled) or :class:`RuntimeError` (exhaustive).
     """
     return group.report
 

@@ -67,7 +67,7 @@ def group_from_dict(doc: dict) -> NaryGroup | BinaryGroup:
         if not (isinstance(table, list) and len(table) == m ** arity):
             raise ParseError(f"dense table needs {m ** arity} entries")
         _require(_are_indices(table, m), "table entries must be element indices")
-        return NaryGroup(arity, m, table=np.array(table, dtype=np.int64), labels=labels)
+        return NaryGroup(arity, m, table=table, labels=labels)   # built from the list: kept as the cache
     inner = doc.get("group")
     _require(isinstance(inner, dict) and inner.get("kind") == "binary", "hg documents embed a binary group")
     try:

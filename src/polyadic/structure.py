@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binary import BinaryGroup, close, coset_partition, read_only
+from .binary import BinaryGroup, HGData, close, coset_partition, read_only
 from .core import NaryGroup, is_nary_identity
 from .errors import InvalidGroupError, SizeLimitError
 from .report import VerificationReport
-from .retract import derived, retract
+from .retract import retract
 
 SubgroupRef = tuple[int, ...]
 
@@ -208,9 +208,8 @@ def quotient(group: NaryGroup, subgroup: SubgroupRef) -> QuotientGroup:
     ident = part.blocks.index(tuple(sorted(subgroup)))
     # At the identity block e the quotient is derived from its retract, a group by Dörnte that
     # the constructor checks (q^3); qtable stays the dense cache, written as such, uncertified.
-    qgroup = derived(BinaryGroup(qtable[(slice(None),) + (ident,) * (n - 2) + (slice(None),)],
-                                 check=False), n)
-    qgroup._table, qgroup.kind = qtable, "dense"
+    base = BinaryGroup(qtable[(slice(None),) + (ident,) * (n - 2) + (slice(None),)], check=False)
+    qgroup = NaryGroup._with_dense_cache(HGData(base, np.arange(q), base.identity, n), qtable)
     if not is_nary_identity(qgroup, ident):
         raise InvalidGroupError("subgroup block is not a quotient identity")
     return QuotientGroup(group, qgroup, part, ident)

@@ -507,7 +507,7 @@ def conjugation_congruence_by_dict(group):
 def skew_by_element(group, x):
     """The skew of x: the one hit of row (x^(n-1), .), or the hg closed form checked by ``eval``."""
     n = group.arity
-    if group.hg is None:
+    if group.kind == "dense":
         hits = np.nonzero(group.dense()[(x,) * (n - 1)] == x)[0]
         if len(hits) != 1:
             raise P.InvalidGroupError(f"skew of {x} not unique: {len(hits)} solutions")

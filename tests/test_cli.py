@@ -272,7 +272,7 @@ class TestFileFormat:
         path = tmp_path / "hg.json"
         save_group(group, path)
         loaded = load_group(path)
-        assert loaded.hg is not None and loaded == group
+        assert loaded.kind == "hg" and loaded == group
 
     def test_labels_preserved(self, tmp_path, t2):
         labelled = P.NaryGroup(3, 2, table=t2.dense(), labels=("e", "a"))

@@ -36,8 +36,8 @@ class TestEval:
             m, n = group.order, group.arity
             tuples = list(itertools.product(range(m), repeat=n))
             flat = [group.eval(xs) for xs in tuples]
-            cold = group if group.hg is None else P.NaryGroup.from_hg(group.hg)
-            if group.hg is not None:
+            cold = group if group.kind == "dense" else P.NaryGroup.from_hg(group.hg)
+            if group.kind == "hg":
                 assert flat == [oracle.eval_by_hg_formula(group, xs) for xs in tuples], name
             for g in (cold, P.NaryGroup(n, m, table=cold.dense().copy())):
                 assert [int(g(*xs)) for xs in tuples] == flat, name
@@ -331,7 +331,6 @@ class TestVerdictOnConstruction:
         refused = [
             lambda g: g.require_verified(), lambda g: g(0, 0, 0), lambda g: g.eval((0, 0, 0)),
             lambda g: g.skew_table(), lambda g: g.skew(0), lambda g: g.dense(), lambda g: g.hg,
-            lambda g: g == g,
             lambda g: P.retract(g, 0), lambda g: P.hg_decompose(g, 0),
             lambda g: P.covering_group(g, 0), P.conjugacy_classes,
             lambda g: P.centralizer(g, 0), P.subgroups, lambda g: P.quotient(g, A3),
@@ -341,12 +340,35 @@ class TestVerdictOnConstruction:
             with pytest.raises(P.InvalidGroupError, match="not an n-ary group") as exc:
                 call(broken)
             assert exc.value.report is report
+        # equality compares a rejected table's cells, and never raises
+        assert broken == broken == P.NaryGroup(3, 6, table=table.copy())
+        assert broken != s3t and s3t != broken and len({broken, s3t}) == 2
+        other = table.copy()
+        other[0, 0, 0] = (other[0, 0, 0] + 1) % 6
+        assert broken != P.NaryGroup(3, 6, table=other)
 
     def test_passing_report_kept_from_construction(self, s3t, monkeypatch):
         group = P.NaryGroup(3, 6, table=s3t.dense().copy())
         monkeypatch.setattr(core, "_certify_dense", lambda table: pytest.fail("certified again"))
         assert P.verify_nary_group(group) is group.report and group.report.passed
         assert group.kind == "dense" and group._table is None
+
+    def test_table_built_by_the_constructor_is_the_dense_cache(self, s3t, monkeypatch):
+        # a list (a parsed file) or a cast is copied into a new array: kept, not rebuilt
+        want = s3t.dense()
+        monkeypatch.setattr(core, "_require_small", lambda shape: pytest.fail("folded"))
+        for table in (want.tolist(), want.astype(np.int32)):
+            group = P.NaryGroup(3, 6, table=table)
+            assert group.report.passed and np.array_equal(group._table, want)
+            assert group.dense() is group._table and group(1, 2, 3) == want[1, 2, 3]
+
+    def test_verified_group_above_the_dense_limit_gets_sampled_scans(self, monkeypatch):
+        # 32^6 cells: the scans evaluate their samples, never the m^n table
+        g = P.derived(P.direct_product(P.dihedral_group(8), P.cyclic_group(4)), 6)
+        monkeypatch.setattr(P.NaryGroup, "dense", lambda self: pytest.fail("dense() called"))
+        for report in (P.verify_associativity(g), P.verify_quasigroup(g)):
+            assert report.passed and report.sampled
+        assert g._table is None
 
 
 class TestReadOnly:
