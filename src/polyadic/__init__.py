@@ -56,6 +56,7 @@ from .structure import (
     is_central,
     is_normal,
     is_subgroup,
+    normal_subgroups,
     quotient,
     subgroup_closure,
     subgroups,

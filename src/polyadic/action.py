@@ -81,20 +81,9 @@ def canonical_action(group: NaryGroup) -> Action:
 def orbits(act: Action) -> Partition:
     """Components of the graph joining a to x.a; blocks keyed by least member.
 
-    Label propagation: each round lowers every label to the least label of
-    its images (pull) and sources (push, ``np.minimum.at``), then to its
-    label's label.  Labels only fall and stay in their component, so the fixed
-    point is each component's least member, for non-bijective tables too.
+    :meth:`Partition.components` of the action table, by label propagation.
     """
-    t = act.table
-    labels = np.arange(act.npoints)
-    while True:
-        new = np.minimum(labels, labels[t].min(axis=0))
-        np.minimum.at(new, t.reshape(-1), np.broadcast_to(labels, t.shape).reshape(-1))
-        new = new[new]
-        if np.array_equal(new, labels):
-            return Partition.from_index(np.unique(labels, return_inverse=True)[1].reshape(-1))
-        labels = new
+    return Partition.components(act.table)
 
 
 def stabilizer(act: Action, a: int) -> SubgroupRef:

@@ -63,6 +63,11 @@ def _identity(table: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+def grid(elems: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Index arrays that broadcast ``elems`` over k axes, like ``np.ix_(*[elems] * k)`` at any k."""
+    return tuple(elems.reshape((-1,) + (1,) * (k - 1 - i)) for i in range(k))
+
+
 def close(table: np.ndarray, inverse: np.ndarray, elems) -> tuple[int, ...]:
     """Grow an element mask from ``elems`` until it is closed under ``table`` and ``inverse``.
 
@@ -76,12 +81,12 @@ def close(table: np.ndarray, inverse: np.ndarray, elems) -> tuple[int, ...]:
     n, m = table.ndim, len(inverse)
     mask = np.zeros(m, dtype=bool)
     mask[elems] = True
-    count = int(mask.sum())
+    count = np.count_nonzero(mask)
     while 2 * count <= m:
         e = np.flatnonzero(mask)
-        mask[table[np.ix_(*([e] * n))]] = True
+        mask[table[grid(e, n)]] = True
         mask[inverse[e]] = True
-        grown = int(mask.sum())
+        grown = np.count_nonzero(mask)
         if grown == count:
             return tuple(e.tolist())
         count = grown
@@ -100,10 +105,14 @@ def coset_partition(members: np.ndarray, size: int) -> tuple[np.ndarray, np.ndar
     new = np.ones(rows.shape, dtype=bool)
     new[:, 1:] = rows[:, 1:] != rows[:, :-1]
     m = len(rows)
-    if (new.sum(axis=1) == size).all():
-        blocks = np.unique(rows[new].reshape(m, size), axis=0)
+    if (np.count_nonzero(new, axis=1) == size).all():
+        rows = rows[new].reshape(m, size)
+        # one row per least member; every row must equal its block
+        _, first, block_of_row = np.unique(rows[:, 0], return_index=True, return_inverse=True)
+        blocks = rows[first]
         flat = blocks.reshape(-1)
-        if len(flat) == m and np.array_equal(np.sort(flat), np.arange(m)):
+        if (len(flat) == m and np.array_equal(rows, blocks[block_of_row])
+                and np.array_equal(np.sort(flat), np.arange(m))):
             index = np.empty(m, dtype=np.int64)
             index[flat] = np.repeat(np.arange(len(blocks)), size)
             return blocks, index

@@ -23,7 +23,7 @@ from .fileformat import group_to_dict, load_group, save_group
 from .rep import character, kernel, kernel_chi, one_dim_reps, orthogonality_check
 from .report import VerificationReport
 from .retract import hg_decompose, retract
-from .structure import classify_simplicity, is_normal, quotient, subgroups
+from .structure import classify_simplicity, normal_subgroups, quotient, subgroups
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -143,9 +143,7 @@ def cmd_centralizer(args) -> int:
 
 def cmd_subgroups(args) -> int:
     group = _load_nary(args.path)
-    subs = subgroups(group)
-    if args.normal:
-        subs = [h for h in subs if is_normal(group, h)]
+    subs = normal_subgroups(group) if args.normal else subgroups(group)
     emit({"normal_only": bool(args.normal), "subgroups": [[int(v) for v in h] for h in subs]})
     return PASS
 

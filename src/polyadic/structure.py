@@ -2,10 +2,11 @@
 
 A subgroup is a non-empty subset closed under the operation and under the
 skew map.  Normality follows the conjugation-style condition
-``f(a^(n-3), skew(a), h, a) in H``.  Quotients by normal subgroups are n-ary
-groups with the subgroup as identity block, hence reducible to an ordinary
-group; that reduction is what eventually carries representations back to
-binary group theory.
+``f(a^(n-3), skew(a), h, a) in H``; the normal subgroups are listed from the
+decomposition (G, phi, b), without enumerating subgroups.  Quotients by
+normal subgroups are n-ary groups with the subgroup as identity block, hence
+reducible to an ordinary group; that reduction is what eventually carries
+representations back to binary group theory.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binary import BinaryGroup, HGData, close, coset_partition, read_only
+from .binary import BinaryGroup, HGData, close, coset_partition, grid, read_only
 from .core import NaryGroup, is_nary_identity
 from .errors import InvalidGroupError, SizeLimitError
 from .report import VerificationReport
@@ -23,26 +24,46 @@ from .retract import retract
 SubgroupRef = tuple[int, ...]
 
 SUBGROUP_ORDER_LIMIT = 24
+_PLACE_CELLS = 1 << 20
 
 
 def verify_subgroup(group: NaryGroup, elems) -> VerificationReport:
-    """Closure under the operation and the skew map, with witnesses."""
+    """Closure under the operation and the skew map, with witnesses: |H|^2 + |H| values of f.
+
+    With a = min(H), H is closed under f iff it is a subgroup of the retract
+    Ret_a (x.y = f(x, a^(n-2), y)) that phi_a (x -> f(skew(a), x, a^(n-2)))
+    maps into itself.  Forward, both are values of f on H, once skew(a) is in
+    H.  Conversely, a product-closed subset of the finite Ret_a is a subgroup,
+    so it holds the identity skew(a); at anchor a the twist b_a is
+    (phi_a(a) ... phi_a^(n-2)(a))^-1, in H, so the Hosszú–Gluskin form
+    x1 phi_a(x2) ... phi_a^(n-1)(xn) b_a stays in H.  The |H|^2 grid
+    (x, a^(n-2), y) is checked first; only if it stays in H is the phi_a line
+    (skew(a), h, a^(n-2)) checked.  A failing row is a failing n-tuple of H
+    and is the closure witness.  The skew check reads the skew table.
+    """
     elems = sorted({int(x) for x in elems})
     if not elems:
         return VerificationReport.fail([("subgroup-empty", ())])
+    n, a, h = group.arity, elems[0], np.array(elems, dtype=np.int64)
     mask = np.zeros(group.order, dtype=bool)
-    mask[elems] = True
+    mask[h] = True
     failures = []
-    inside = mask[group(*np.ix_(*[elems] * group.arity))]
-    if not inside.all():
-        pos = np.argwhere(~inside)[0]
-        failures.append(("subgroup-closure", tuple(elems[int(i)] for i in pos)))
-    outside = np.flatnonzero(~mask[group.skew_table()[elems]])
+    products = group(h[:, None], *(a,) * (n - 2), h)
+    bad = np.argwhere(~mask[products])
+    if bad.size:
+        x, y = h[bad[0]]
+        failures.append(("subgroup-closure", (int(x),) + (a,) * (n - 2) + (int(y),)))
+    else:
+        abar = int(group.skew_table()[a])
+        bad = np.flatnonzero(~mask[group(abar, h, *(a,) * (n - 2))])
+        if bad.size:
+            failures.append(("subgroup-closure", (abar, int(h[bad[0]])) + (a,) * (n - 2)))
+    outside = np.flatnonzero(~mask[group.skew_table()[h]])
     if outside.size:
         failures.append(("subgroup-skew", (elems[outside[0]],)))
     if failures:
         return VerificationReport.fail(failures)
-    return VerificationReport.ok(checked=len(elems) ** group.arity + len(elems))
+    return VerificationReport.ok(checked=len(h) ** 2 + 2 * len(h))
 
 
 def is_subgroup(group: NaryGroup, elems) -> bool:
@@ -57,6 +78,8 @@ def subgroup_closure(group: NaryGroup, gens) -> SubgroupRef:
 
 def subgroups(group: NaryGroup) -> list[SubgroupRef]:
     """All n-ary subgroups, sorted lexicographically; complete up to order 24.
+
+    :func:`normal_subgroups` lists the normal ones without this search, at any order.
 
     One closure-lattice search: start from the closures of single elements,
     then close ``S + {x}`` for every subgroup S found and every x outside it,
@@ -80,7 +103,7 @@ def subgroups(group: NaryGroup) -> list[SubgroupRef]:
         done = np.zeros(m, dtype=bool)
         done[s] = True
         # column x holds the set f(S^(n-1), x)
-        reached = table[np.ix_(*([s] * (n - 1)))].reshape(-1, m)
+        reached = table[grid(np.array(s), n - 1)].reshape(-1, m)
         for x in range(m):
             if done[x]:
                 continue
@@ -114,6 +137,66 @@ def _is_normal(group: NaryGroup, subgroup: SubgroupRef) -> bool:
     return bool(inside[values].all())
 
 
+def normal_subgroups(group: NaryGroup) -> list[SubgroupRef]:
+    """All normal n-ary subgroups, sorted lexicographically, from the decomposition (G, phi, b).
+
+    The product of G and phi are polynomial operations of f, so the
+    congruences of (G, f) are the coset partitions of the normal subgroups N
+    of G with phi(N) = N, and a normal n-ary subgroup is a block xN that is
+    an n-ary identity of the quotient: f(x^i, y, x^(n-1-i)) lies in yN for
+    every y and every place i.  No subgroup is enumerated and no m^n table
+    is read:
+
+    - the orbits of <inner automorphisms, phi> on G each generate a
+      phi-invariant normal subgroup A, one closure on the m x m table each;
+    - every phi-invariant normal N is a join of those, reached from {e} by
+      joins with one A at a time; N A is the union of the cosets aN, a in A,
+      read from N's coset index;
+    - per N the blocks come from the coset builder, and the identity test
+      reads f(x^i, y, x^(n-1-i)) = P_i(x) phi^i(y) S_i(x), with the prefix
+      P_i(x) = x phi(x) ... phi^(i-1)(x) and suffix S_i(x) = phi^(i+1)(x)
+      ... phi^(n-1)(x) b built once for every x; by the congruence, x and y
+      range over block representatives.
+    """
+    hg, n = group.hg, group.arity
+    base, pows = hg.group, hg.phi_powers
+    t, inv, m = base.table, base.inverse, base.order
+    moves = np.vstack([t[t, inv[:, None]], hg.phi])   # rows a: x -> a x a^-1, then phi
+    orbits = Partition.components(moves).blocks
+    gens = np.zeros((len(orbits), m), dtype=bool)
+    for row, orbit in zip(gens, orbits):
+        row[list(close(t, inv, list(orbit)))] = True
+    gens = np.unique(gens, axis=0)   # orbits may generate alike
+    gen_row, gen_elem = np.nonzero(gens)
+    prefix = np.empty((n, m), dtype=np.int64)
+    suffix = np.empty((n, m), dtype=np.int64)
+    prefix[0], suffix[n - 1] = base.identity, hg.b
+    for i in range(1, n):
+        prefix[i] = t[prefix[i - 1], pows[i - 1]]
+        suffix[n - 1 - i] = t[pows[n - i], suffix[n - i]]
+    trivial = np.zeros(m, dtype=bool)
+    trivial[base.identity] = True
+    seen, todo, out = {trivial.tobytes()}, [trivial], []
+    while todo:
+        normal = np.flatnonzero(todo.pop())
+        blocks, index = coset_partition(t[:, normal], len(normal))
+        r, keep = blocks[:, 0], np.ones(len(blocks), dtype=bool)
+        step = max(1, _PLACE_CELLS // len(r) ** 2)   # places per (place, x, y) evaluation
+        for i in range(0, n, step):
+            p = slice(i, i + step)
+            values = t[t[prefix[p, r, None], pows[p, None, r]], suffix[p, r, None]]
+            keep &= (index[values] == np.arange(len(r))).all(axis=(0, 2))
+        out += [tuple(b) for b in blocks[keep].tolist()]
+        hits = np.zeros((len(gens), len(r)), dtype=bool)
+        hits[gen_row, index[gen_elem]] = True
+        for join in hits[:, index]:
+            key = join.tobytes()
+            if key not in seen:
+                seen.add(key)
+                todo.append(join)
+    return sorted(out)
+
+
 @dataclass(frozen=True, eq=False)
 class Partition:
     """Disjoint sorted blocks covering {0..m-1}, numbered by least member.
@@ -131,6 +214,24 @@ class Partition:
         members = np.argsort(index, kind="stable")
         bounds = np.cumsum(np.bincount(index))[:-1]
         return cls(tuple(tuple(b.tolist()) for b in np.split(members, bounds)), index)
+
+    @classmethod
+    def components(cls, table) -> "Partition":
+        """Components of the graph joining a to ``table[x, a]`` for every row x.
+
+        Label propagation: each round lowers every label to the least label of
+        its images (pull) and sources (push, ``np.minimum.at``), then to its
+        label's label.  Labels only fall and stay in their component, so the
+        fixed point is each component's least member, for non-bijective rows too.
+        """
+        labels = np.arange(table.shape[1])
+        while True:
+            new = np.minimum(labels, labels[table].min(axis=0))
+            np.minimum.at(new, table.reshape(-1), np.broadcast_to(labels, table.shape).reshape(-1))
+            new = new[new]
+            if np.array_equal(new, labels):
+                return cls.from_index(np.unique(labels, return_inverse=True)[1].reshape(-1))
+            labels = new
 
     @property
     def representatives(self) -> tuple[int, ...]:
@@ -253,27 +354,25 @@ def classify_simplicity(group: NaryGroup) -> SimplicityReport:
     """Classify by normal subgroups: proper ones, central singleton, or neither.
 
     "Proper" means distinct from the whole group with at least two elements.
-    A singleton normal subgroup forces its element to be central, and the
-    group is then a twisted product over its retract there: abelian carrier
-    or reducible non-abelian carrier.  Since :func:`subgroups` is complete,
-    a group with neither has no normal subgroup but itself, and is reported
-    as a strongly simple candidate.
+    The normal subgroups come from :func:`normal_subgroups`, which is
+    complete at any order and reads no m^n table.  A singleton normal
+    subgroup {p} is an n-ary identity, so Ret_p has identity p, phi_p = id
+    and b_p = p: p is central, and the group is derived from its retract
+    there, with an abelian or a reducible non-abelian carrier.  The
+    decomposition at p is still built, and its twist map checked.  A group
+    with neither has no normal subgroup but itself, and is reported as a
+    strongly simple candidate.
     """
     from .retract import hg_decompose
 
     m = group.order
-    all_subs = subgroups(group)
-    normals = tuple(h for h in all_subs if _is_normal(group, h))   # subgroups() returns closures
+    normals = tuple(normal_subgroups(group))
     proper = tuple(h for h in normals if len(h) >= 2 and len(h) < m)
     if proper:
         return SimplicityReport(HAS_PROPER_NORMAL, normals, proper)
     singles = [h[0] for h in normals if len(h) == 1]
     if singles:
         p = singles[0]
-        if not is_central(group, p):
-            raise InvalidGroupError(
-                f"singleton normal subgroup {{{p}}} with non-central element"
-            )
         data = hg_decompose(group, p)
         if not np.array_equal(data.phi, np.arange(m)):
             raise InvalidGroupError(

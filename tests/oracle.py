@@ -5,6 +5,10 @@ certificate: the exhaustive associativity and solvability scans, then the
 Dörnte skew identities element by element.  The certificate must agree with
 it on every table.  ``powerset_subgroups`` tests every subset for the
 subgroup axioms; the closure-lattice search must find the same list.
+``normal_subgroups_by_enumeration`` filters that list by the normality
+test, the route ``classify_simplicity`` took before it read the normal
+subgroups from (G, phi, b), and ``closed_by_grid`` is ``verify_subgroup``'s
+old closure check over all |H|^n tuples.
 
 The cover and representation oracles are the code those layers ran before
 their certificates: ``eval_long`` folds the operation over a long sequence,
@@ -101,6 +105,20 @@ def is_normal_by_eval(group, subgroup):
     n, s = group.arity, set(subgroup)
     return all(group.eval((a,) * (n - 3) + (group.skew(a), h, a)) in s
                for a in range(group.order) for h in subgroup)
+
+
+def normal_subgroups_by_enumeration(group):
+    """Every subgroup from the closure-lattice search, kept when it passes the normality test."""
+    from polyadic.structure import _is_normal
+    return [h for h in P.subgroups(group) if _is_normal(group, h)]
+
+
+def closed_by_grid(group, elems):
+    """Is the subset closed under f?  One evaluation of all |H|^n tuples."""
+    elems = sorted(set(elems))
+    mask = np.zeros(group.order, dtype=bool)
+    mask[elems] = True
+    return bool(mask[group(*np.ix_(*[elems] * group.arity))].all())
 
 
 def binary_subgroup_by_loops(group, elems):

@@ -223,6 +223,16 @@ class TestCentralizer:
             for a in range(group.order):
                 P.centralizer(group, a)
 
+    def test_large_subgroups_at_arity_six(self):
+        # Regression: verify_subgroup evaluated |C|^6 tuples, so a = 0 (|C| = 64) raised
+        # SizeLimitError; for a derived group the centralizer is the base's
+        base = P.direct_product(P.dihedral_group(8), P.cyclic_group(4))
+        group = P.derived(base, 6)
+        for a in (0, 32):
+            want = tuple(np.flatnonzero(base.table[a] == base.table[:, a]).tolist())
+            assert P.centralizer(group, a) == want
+        assert len(P.centralizer(group, 0)) == 64
+
     def test_shifted_identity_check_equals_loop(self, fixtures, hg_stock):
         # on the whole carrier most elements fail, so the first failure is compared too
         for name, group in list(fixtures.items()) + hg_stock:

@@ -235,6 +235,9 @@ def test_coset_partition_rejects_overlapping_rows():
         coset_partition(np.array([[0, 1], [1, 2], [2, 0]]), 2)
     with pytest.raises(P.InvalidGroupError, match="partition evenly"):
         coset_partition(np.array([[0, 0], [1, 1]]), 2)
+    # the blocks of the least members partition, but row 1 is not its block
+    with pytest.raises(P.InvalidGroupError, match="partition evenly"):
+        coset_partition(np.array([[0, 1], [0, 2], [2, 3], [3, 2]]), 2)
 
 
 def test_subset_operations_make_no_mul_call(monkeypatch):

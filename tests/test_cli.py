@@ -220,6 +220,16 @@ class TestEmittedGroups:
         assert code == 0
         assert list(range(16)) in json.loads(out)["normal_subgroups"]
 
+    def test_large_arity_answers(self, capsys, tmp_path):
+        # Regression: reps raised ValueError (np.ix_ over 70 axes) on this order-6 group,
+        # and classify exited 1 on its 6^70 cells
+        path = tmp_path / "S3-70.json"
+        save_group(P.derived(P.symmetric_group_3(), 70), path)
+        code, out = run(capsys, "reps", str(path))
+        assert code == 0 and json.loads(out)["count"] == 2
+        code, out = run(capsys, "classify", str(path))
+        assert code == 0 and json.loads(out)["normal_subgroups"] == [[0], [0, 1, 2, 3, 4, 5], [0, 3, 4]]
+
     def test_classify_cases(self, capsys, files):
         code, out = run(capsys, "classify", files["S3T"])
         assert json.loads(out)["case"] == "has-proper-normal"

@@ -3,9 +3,17 @@
 import pytest
 
 import polyadic as P
-from conftest import A3, TRANSPOSITIONS, z2_4_ternary
-from oracle import (cosets_by_loops, first_skew_outside, is_normal_by_eval, powerset_subgroups,
-                    scan_verdict)
+from conftest import A3, TRANSPOSITIONS, binary_catalog, z2_4_ternary
+from oracle import (closed_by_grid, cosets_by_loops, first_skew_outside, is_normal_by_eval,
+                    normal_subgroups_by_enumeration, powerset_subgroups, scan_verdict)
+
+
+def d8_z4(*more):
+    """D8 x Z4 (order 64) times the given factors; D8 is the dihedral group of order 16."""
+    base = P.direct_product(P.dihedral_group(8), P.cyclic_group(4))
+    for factor in more:
+        base = P.direct_product(base, factor)
+    return base
 
 
 class TestSubgroups:
@@ -40,6 +48,24 @@ class TestSubgroups:
                 got = [f.witness for f in report.failures if f.axiom == "subgroup-skew"]
                 want = first_skew_outside(group, elems)
                 assert got == ([] if want is None else [(want,)]), (name, elems)
+
+    def test_closure_verdict_equals_the_grid(self, fixtures, hg_stock):
+        # the retract criterion decides closure with |H|^2 + |H| values
+        count = 0
+        for name, group in list(fixtures.items()) + hg_stock:
+            m, n = group.order, group.arity
+            if m ** n > 5000:
+                continue
+            for mask in range(1, 1 << m):
+                elems = [e for e in range(m) if mask >> e & 1]
+                got = [f.witness for f in P.verify_subgroup(group, elems).failures
+                       if f.axiom == "subgroup-closure"]
+                assert (not got) == closed_by_grid(group, elems), (name, elems)
+                for witness in got:
+                    assert set(witness) <= set(elems), (name, elems)
+                    assert group.eval(witness) not in elems, (name, elems)
+                count += 1
+        assert count > 1000
 
     def test_closure_driven_search_matches_powerset(self, s3t):
         from polyadic.structure import subgroup_closure
@@ -85,6 +111,32 @@ class TestNormality:
     def test_requires_subgroup(self, s3t):
         with pytest.raises(P.InvalidGroupError):
             P.is_normal(s3t, (0, 3))
+
+
+class TestNormalSubgroups:
+    """``normal_subgroups`` from (G, phi, b) against the subgroups-then-filter route."""
+
+    @staticmethod
+    def agree(groups):
+        for name, group in groups:
+            assert P.normal_subgroups(group) == normal_subgroups_by_enumeration(group), name
+
+    def test_fixtures_and_stock(self, fixtures, hg_stock_60):
+        self.agree(list(fixtures.items()) + hg_stock_60)
+
+    def test_catalog_derived(self):
+        self.agree([(f"{name}/n={n}", P.derived(base, n))
+                    for name, base in binary_catalog().items() for n in (3, 4, 7)])
+        self.agree([("Z2^4/n=3", z2_4_ternary())])
+
+    def test_groups_read_from_dense_tables(self, hg_stock):
+        # the decomposition is then anchor 0's, whose base identity is skew(0)
+        self.agree([(name, P.NaryGroup(g.arity, g.order, table=g.dense())) for name, g in hg_stock])
+
+    def test_trivial_group(self):
+        group = P.derived(P.cyclic_group(1), 3)
+        assert P.normal_subgroups(group) == [(0,)]
+        assert P.classify_simplicity(group).central_singleton == 0
 
 
 class TestCosets:
@@ -220,6 +272,33 @@ class TestClassify:
         result = P.classify_simplicity(group)
         assert result.case == "strongly-simple-candidate"
         assert result.normal_subgroups == ((0, 1, 2),)
+
+    def test_central_singleton_is_central(self, fixtures, hg_stock_60):
+        # the singleton branch no longer tests centrality: it holds by theorem
+        count = 0
+        for name, group in list(fixtures.items()) + hg_stock_60:
+            p = P.classify_simplicity(group).central_singleton
+            if p is not None:
+                assert P.is_central(group, p), name
+                count += 1
+        assert count > 5
+
+    def test_above_order_24(self):
+        # Regression: classify enumerated every subgroup and refused above order 24
+        for group, count in [(P.derived(d8_z4(), 6), 37),
+                             (P.derived(d8_z4(P.cyclic_group(2)), 3), 707)]:
+            result = P.classify_simplicity(group)
+            assert result.case == "has-proper-normal"
+            assert len(result.normal_subgroups) == count
+            assert tuple(range(group.order)) in result.normal_subgroups
+            assert all(P.is_normal(group, h) for h in result.normal_subgroups)
+
+    def test_large_arity(self):
+        # Regression: derived(Z2, 70) has 2^70 cells; the centrality test read them all
+        result = P.classify_simplicity(P.derived(P.cyclic_group(2), 70))
+        assert result.case == "b-derived-abelian"
+        assert result.normal_subgroups == ((0,), (0, 1))
+        assert result.central_singleton == 0 and result.twist == 0
 
     def test_no_subgroup_reverified(self, fixtures, verify_subgroup_calls):
         for group in fixtures.values():
