@@ -40,8 +40,9 @@ except P.InvalidGroupError as exc:
     print("Representation(T2b, (i,-i)) refused:", exc.report == report)
 
 #%%
-# All 1-dim representations come from linear characters of a covering
-# group; an independent root-of-unity search returns the same sets.
+# All 1-dim representations come in closed form from the decomposition
+# (G, phi, b): u times a phi-invariant linear character chi of G, with
+# u^(n-1) = chi(b); an independent root-of-unity search returns the same sets.
 
 for name, group in [("T2", T2), ("T2b", T2b), ("Z4M", Z4M)]:
     reps = P.one_dim_reps(group)

@@ -362,24 +362,26 @@ def automorphisms(group: BinaryGroup) -> list[np.ndarray]:
     return _isomorphism_search(group, group, collect_all=True)
 
 
-def abelian_characters(group: BinaryGroup) -> np.ndarray:
-    """All 1-dim complex characters of an abelian group, as a (m, m) array.
+def abelian_phases(group: BinaryGroup) -> tuple[np.ndarray, int]:
+    """All 1-dim characters of an abelian group as exact integer phases: (phases, period).
+
+    Row c of the (m, m) ``phases`` is the character x -> exp(2 pi i c[x] / period),
+    rows in lexicographic order; ``period`` is the exponent of the group.
 
     Over the generating set g1..gk of orders o1..ok, every element x gets a
     coordinate row: the first exponent tuple e, in lexicographic order, with
-    x = g1^e1 ... gk^ek.  The candidate for exponents c sends x to
-    exp(2 pi i sum_j c_j e_j / o_j); all candidates come from one product of
-    the exponent and coordinate matrices, as integer phases in units of 1/L,
-    L = lcm(o1..ok).  A candidate is kept when its phases add up along the
-    full table, so every kept row is exactly multiplicative.  Rows are sorted
-    by rounded value vector, so the order is reproducible.
+    x = g1^e1 ... gk^ek.  The candidate for exponents c has phases
+    sum_j c_j e_j L / o_j in units of 1/L, L = lcm(o1..ok); all candidates
+    come from one product of the exponent and coordinate matrices.  A
+    candidate is kept when its phases add up along the full table, so every
+    kept row is exactly multiplicative.
     """
     if not group.is_abelian:
         raise InvalidGroupError("character enumeration requires an abelian group")
     m, table = group.order, group.table
     gens = group.generating_set()
     if not gens:
-        return np.ones((1, 1), dtype=complex)
+        return np.zeros((1, 1), dtype=np.int64), 1
     orders = np.array([group.element_orders[g] for g in gens])
     exps = np.stack(np.unravel_index(np.arange(orders.prod()), orders), axis=1)
     elems = np.full(len(exps), group.identity)
@@ -389,15 +391,24 @@ def abelian_characters(group: BinaryGroup) -> np.ndarray:
             powers.append(table[powers[-1], g])
         elems = table[elems, np.array(powers)[col]]
     coords = exps[np.unique(elems, return_index=True)[1]]
-    period = np.lcm.reduce(orders)
+    period = int(np.lcm.reduce(orders))
     phases = np.unique((exps * (period // orders)) @ coords.T % period, axis=0)
-    valid = [p for p in phases if np.array_equal(p[table], (p[:, None] + p[None, :]) % period)]
-    values = np.exp(2j * np.pi * np.array(valid) / period)
+    valid = phases[[np.array_equal(p[table], (p[:, None] + p[None, :]) % period) for p in phases]]
+    if len(valid) != m:
+        raise InvalidGroupError(f"expected {m} characters, found {len(valid)}")
+    return valid, period
+
+
+def abelian_characters(group: BinaryGroup) -> np.ndarray:
+    """All 1-dim complex characters of an abelian group, as a (m, m) array.
+
+    The :func:`abelian_phases` rows as roots of unity, sorted by rounded
+    value vector, so the order is reproducible.
+    """
+    phases, period = abelian_phases(group)
+    values = np.exp(2j * np.pi * phases / period)
     keys = [str(tuple(np.round(v, 9).tolist())) for v in values]
-    out = values[sorted(range(len(keys)), key=keys.__getitem__)]
-    if len(out) != m:
-        raise InvalidGroupError(f"expected {m} characters, found {len(out)}")
-    return out
+    return values[sorted(range(len(keys)), key=keys.__getitem__)]
 
 
 def commutator_subgroup(group: BinaryGroup) -> tuple[int, ...]:

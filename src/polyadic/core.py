@@ -175,7 +175,7 @@ class NaryGroup:
 
         Only code that reads every cell calls it: the scans, ``quotient``,
         ``is_central``, ``is_conjugation_congruence``, ``one_dim_reps_bruteforce``,
-        the dense file writer and ``subgroups``/``subgroup_closure``.
+        the dense file writer and ``subgroup_closure``.
         """
         if self._table is None:
             _require_small((self.order,) * self.arity)   # np.ix_ makes at most 64 axes

@@ -27,9 +27,10 @@ from functools import reduce
 
 import numpy as np
 
-from .binary import BinaryGroup, HGData, abelian_characters, linear_characters, read_only
+from .binary import (BinaryGroup, HGData, abelian_characters, abelian_phases, close,
+                     commutator_subgroup, read_only)
 from .core import NaryGroup, homomorphism_certificate_rows, is_semiabelian
-from .cover import CoveringGroup, covering_group
+from .cover import CoveringGroup
 from .errors import CriterionUnavailableError, InvalidGroupError, SizeLimitError
 from .report import VerificationReport
 from .retract import hg_construct, retract, hg_decompose
@@ -429,23 +430,51 @@ def orthogonality_check(char1: Character, p1: int, char2: Character, p2: int,
 # -- enumeration and classification -----------------------------------------------------
 
 def one_dim_reps(group: NaryGroup) -> list[Representation]:
-    """All 1-dim representations, through the linear characters of a cover.
+    """All 1-dim representations, in closed form from the decomposition (G, phi, b).
 
-    Enumerates the cover's linear characters (these factor through its
-    abelianization, so no assumption on the cover is needed), keeps those
-    whose kernel meets the embedded carrier, restricts, deduplicates, and
-    verifies each result as its :class:`Representation` is built.
+    Theorem: the 1-dim representations are rho = u chi, for chi a linear
+    character of G with chi o phi = chi and u a root of u^(n-1) = chi(b),
+    such that u^-1 lies in chi(G); distinct pairs (chi, u) give distinct rho.
+
+    Proof.  With e the identity of G, f(x1..xn) = x1 phi(x2) ... phi^(n-1)(xn) b
+    and phi^(n-1)(y) = b y b^-1 give f(e^n) = b, f(x, e^(n-1)) = x b,
+    f(e^(n-1), y) = b y, f(x, e^(n-2), y) = x b y and f(e, x, e^(n-2)) = phi(x) b.
+    Let rho be multiplicative and u = rho(e).  Then rho(x b) = rho(x) u^(n-1)
+    = rho(b x), so rho(x y) = rho(x b (b^-1 y)) = rho(x) u^(n-2) rho(y) u^(1-n),
+    and chi = rho / u is multiplicative on G; rho(phi(x) b) = u^(n-1) rho(x)
+    gives chi o phi = chi; and chi(b) = rho(b) / u = u^(n-1).  Conversely, for
+    such (chi, u), rho(f(x1..xn)) = u chi(b) chi(x1) ... chi(xn) = prod rho(xi)
+    by phi-invariance, and u = rho(e), chi = rho / u recover the pair.  The
+    kernel condition, rho(x) = 1 for some x, is u^-1 in chi(G).
+
+    The phi-invariant linear characters are those of A = G / N, N generated by
+    the commutators and every x phi(x)^-1 (normal, as it holds G').  With
+    c(x) the integer phase of chi in units of 1/E, E the exponent of A, the
+    roots u are the phases c(b) + E j in units of 1/(E(n-1)), j = 0..n-2, so
+    rho has phase (n-1) c(x) + c(b) + E j mod E(n-1): each pair is kept iff
+    some phase is 0, decided on integers.  No cover is built and no m^n
+    table is read: past the O(m^2) of N and A the pairs cost O(n m |A|), and
+    each result is verified, at n (m^2 + m + 1) products, as its
+    :class:`Representation` is built.  The list is sorted by phase vector.
     """
-    cov = covering_group(group, 0)
-    chars = linear_characters(cov.group)
-    seen: dict[tuple, Representation] = {}
-    for row in chars:
-        restricted = row[cov.embed]
-        if np.abs(restricted - 1.0).min() > EPS:
-            continue
-        rep = Representation(group, restricted.reshape(-1, 1, 1))
-        seen.setdefault(tuple(np.round(restricted, 9).tolist()), rep)
-    return [seen[key] for key in sorted(seen, key=str)]
+    hg, n = group.hg, group.arity
+    base, phi = hg.group, hg.phi
+    t, inv = base.table, base.inverse
+    normal = close(t, inv, [*commutator_subgroup(base), *t[np.arange(base.order), inv[phi]]])
+    quot, blocks = base.quotient(normal)
+    phases, period = abelian_phases(quot)
+    block_of = np.empty(base.order, dtype=np.int64)
+    for i, blk in enumerate(blocks):
+        block_of[list(blk)] = i
+    c = phases[:, block_of]                          # rows chi, columns x
+    roots = c[:, hg.b, None] + period * np.arange(n - 1)
+    full = period * (n - 1)
+    rho = ((n - 1) * c[:, None, :] + roots[:, :, None]) % full
+    rho = rho.reshape(-1, base.order)
+    rho = rho[(rho == 0).any(axis=1)]
+    rho = rho[np.lexsort(rho.T[::-1])]
+    return [Representation(group, np.exp(2j * np.pi * row / full).reshape(-1, 1, 1))
+            for row in rho]
 
 
 def one_dim_reps_bruteforce(group: NaryGroup) -> list[np.ndarray]:
@@ -453,7 +482,7 @@ def one_dim_reps_bruteforce(group: NaryGroup) -> list[np.ndarray]:
 
     Tries every assignment of (m(n-1))-th roots of unity to the carrier,
     keeping assignments that satisfy the n-ary product identity and have a
-    value 1 somewhere.  Deliberately separate from the cover route so the two
+    value 1 somewhere.  Deliberately separate from the closed form so the two
     can be compared as sets.
     """
     m, n = group.order, group.arity
@@ -499,7 +528,7 @@ def classify_ternary_minus(base: BinaryGroup) -> TernaryMinusClassification:
     abelian base; each is built once as a :class:`Representation`, which
     verifies it (homomorphism and non-empty kernel).  A candidate rejected
     for its empty kernel alone is a hom-solution.  The tests check that the
-    surviving set is the cover-character enumeration of :func:`one_dim_reps`.
+    surviving set is the enumeration of :func:`one_dim_reps`.
     """
     if not base.is_abelian:
         raise InvalidGroupError("classification requires an abelian base group")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binary import BinaryGroup, HGData, close, coset_partition, grid, read_only
+from .binary import BinaryGroup, HGData, close, coset_partition, read_only
 from .core import NaryGroup, is_nary_identity
 from .errors import InvalidGroupError, SizeLimitError
 from .report import VerificationReport
@@ -81,38 +81,83 @@ def subgroups(group: NaryGroup) -> list[SubgroupRef]:
 
     :func:`normal_subgroups` lists the normal ones without this search, at any order.
 
-    One closure-lattice search: start from the closures of single elements,
-    then close ``S + {x}`` for every subgroup S found and every x outside it,
-    until no new subgroup appears.  Every subgroup H is reached, by adding
-    its elements one at a time to the closure of one of them.
+    A closure lattice, built level by level from the decomposition (G, phi, b):
+    level 0 closes the m singletons; each further level closes ``S + {x}``
+    for every subgroup S new at the level before and every x outside it,
+    until a level brings no new subgroup.  Every subgroup H is reached, by
+    adding its elements one at a time to the closure of one of them.  Rows
+    are told apart by integer keys, their elements as bits (m <= 24).
 
-    For each S only one x per set f(S^(n-1), x) is tried.  That loses
-    nothing: y = f(s1, ..., s(n-1), x) with si in S lies in <S, x>; and
-    z -> f(s1, ..., s(n-1), z) is injective and maps the finite <S, y> into
-    itself, hence onto it, so the unique preimage x of y lies in <S, y>.
-    Thus <S, y> = <S, x>, and trying y would add nothing.
+    All sets of a level are closed in one batch of (k, m) masks by
+    :func:`_close_rows`: no m^n table is read, and a round costs n - 1 set
+    products in G, O(n k m^2).
     """
-    m, n = group.order, group.arity
+    m = group.order
     if m > SUBGROUP_ORDER_LIMIT:
         raise SizeLimitError(f"subgroup enumeration limited to order {SUBGROUP_ORDER_LIMIT}")
-    table, skews = group.dense(), group.skew_table()   # thousands of closures on one table
-    found = {close(table, skews, [x]) for x in range(m)}
-    todo = list(found)
-    while todo:
-        s = list(todo.pop())
-        done = np.zeros(m, dtype=bool)
-        done[s] = True
-        # column x holds the set f(S^(n-1), x)
-        reached = table[grid(np.array(s), n - 1)].reshape(-1, m)
-        for x in range(m):
-            if done[x]:
-                continue
-            done[reached[:, x]] = True
-            h = close(table, skews, s + [x])
-            if h not in found:
-                found.add(h)
-                todo.append(h)
-    return sorted(found)
+    gathers = _product_gathers(group.hg)
+    weights = 1 << np.arange(m)            # a row's key: its elements as bits
+    rows, found = _close_rows(gathers, np.eye(m, dtype=bool)), {}
+    while True:
+        new = {}
+        for key, row in zip((rows @ weights).tolist(), rows):
+            if key not in found:
+                found[key] = new[key] = row
+        if not new:
+            return sorted(tuple(np.flatnonzero(r).tolist()) for r in found.values())
+        # every new S joined with every x outside it
+        new = np.array(list(new.values()))
+        level = np.repeat(new, m, axis=0)
+        level[np.arange(len(level)), np.tile(np.arange(m), len(new))] = True
+        level = level[~new.reshape(-1)]
+        rows = _close_rows(gathers, level[np.unique(level @ weights, return_index=True)[1]])
+
+
+def _product_gathers(hg: HGData) -> np.ndarray:
+    """Where the factors of f(M^n) = M phi(M) ... phi^(n-1)(M) b read M: an (n-1, m, m) array.
+
+    Entry [k-1, x, z] is the element whose membership in M decides that of
+    x^-1 z in the factor phi^k(M): phi^-k(x^-1 z), and phi^-(n-1)(x^-1 z b^-1)
+    for the last factor, which carries b.
+    """
+    t, inv, m = hg.group.table, hg.group.inverse, hg.group.order
+    ldiv = t[inv[:, None], np.arange(m)]
+    unphi = np.argsort(hg.phi_powers[1:], axis=1)   # the inverse permutations
+    gathers = unphi[:, ldiv]
+    gathers[-1] = unphi[-1][t[ldiv, inv[hg.b]]]
+    return gathers
+
+
+def _close_rows(gathers: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Close every row of a (k, m) bool mask under f: M <- M | f(M^n) until no row grows.
+
+    f(M^n) = M phi(M) ... phi^(n-1)(M) b is n - 1 set products in G, read
+    through :func:`_product_gathers`.  A product C = A B has C[r, z] =
+    or_x A[r, x] and B[r, x^-1 z]: one float32 batched matmul of A against B
+    gathered, its counts clipped to 1.  A row holding more than half the
+    carrier closes to the carrier (the lemma of :func:`~polyadic.binary.close`);
+    a row leaves the batch when it stops growing.  A non-empty f-closed
+    subset of a finite n-ary group is a subgroup, so no skew step is needed.
+    """
+    m = masks.shape[1]
+    out = masks.copy()
+    rows, cur = np.arange(len(out)), masks
+    count = np.count_nonzero(cur, axis=1)
+    while len(rows):
+        big = 2 * count > m
+        out[rows[big]] = True
+        rows, cur, count = rows[~big], cur[~big], count[~big]
+        f = cur.astype(np.float32)
+        prod = f
+        for g in gathers:
+            prod = np.matmul(prod[:, None, :], f[:, g])[:, 0]
+            np.minimum(prod, 1, out=prod)
+        cur = cur | (prod > 0)
+        grown = np.count_nonzero(cur, axis=1)
+        done = grown == count
+        out[rows[done]] = cur[done]
+        rows, cur, count = rows[~done], cur[~done], grown[~done]
+    return out
 
 
 def _require_subgroup(group: NaryGroup, subgroup: SubgroupRef) -> None:

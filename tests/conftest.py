@@ -95,6 +95,13 @@ def binary_catalog():
     }
 
 
+def derived_corpus():
+    """The 13 catalog bases derived at n = 3, 4 and 7, Z2^4 ternary and the trivial group."""
+    return ([(f"{name}/n={n}", P.derived(base, n))
+             for name, base in binary_catalog().items() for n in (3, 4, 7)]
+            + [("Z2^4/n=3", z2_4_ternary()), ("trivial", P.derived(P.cyclic_group(1), 3))])
+
+
 def random_hg_stock(count=20, seed=P.SAMPLE_SEED):
     """Deterministic stock of decomposition-built n-ary groups.
 

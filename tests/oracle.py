@@ -4,7 +4,10 @@
 certificate: the exhaustive associativity and solvability scans, then the
 Dörnte skew identities element by element.  The certificate must agree with
 it on every table.  ``powerset_subgroups`` tests every subset for the
-subgroup axioms; the closure-lattice search must find the same list.
+subgroup axioms; the closure-lattice search must find the same list, as
+must ``subgroups_by_closure``, the search ``subgroups`` ran on the m^n
+table, one closure per candidate set, before it closed each level in one
+batch of set products in G.
 ``normal_subgroups_by_enumeration`` filters that list by the normality
 test, the route ``classify_simplicity`` took before it read the normal
 subgroups from (G, phi, b), and ``closed_by_grid`` is ``verify_subgroup``'s
@@ -38,6 +41,9 @@ The last oracles are routes the library once ran beside its own answer:
 tests the inner-tuple lift criterion one ``eval`` per tuple (with the ternary
 skew criterion cross-checked), and ``hat_char_by_eval`` and
 ``kernel_by_element`` evaluate one element at a time.
+``one_dim_reps_by_cover`` is the route ``one_dim_reps`` took before its
+closed form from (G, phi, b): the linear characters of the covering group,
+restricted to the carrier.
 ``character_class_spread`` scans the conjugacy classes that ``character``
 once checked its trace against.
 """
@@ -111,6 +117,34 @@ def normal_subgroups_by_enumeration(group):
     """Every subgroup from the closure-lattice search, kept when it passes the normality test."""
     from polyadic.structure import _is_normal
     return [h for h in P.subgroups(group) if _is_normal(group, h)]
+
+
+def subgroups_by_closure(group):
+    """Every n-ary subgroup by the closure-lattice search over the m^n table, one closure per set.
+
+    Closures of single elements, then ``S + {x}`` for every subgroup S found
+    and one x per set f(S^(n-1), x) outside S: y = f(s1..s(n-1), x) has
+    <S, y> = <S, x>.
+    """
+    from polyadic.binary import close, grid
+    m, n = group.order, group.arity
+    table, skews = group.dense(), group.skew_table()
+    found = {close(table, skews, [x]) for x in range(m)}
+    todo = list(found)
+    while todo:
+        s = list(todo.pop())
+        done = np.zeros(m, dtype=bool)
+        done[s] = True
+        reached = table[grid(np.array(s), n - 1)].reshape(-1, m)   # column x: f(S^(n-1), x)
+        for x in range(m):
+            if done[x]:
+                continue
+            done[reached[:, x]] = True
+            h = close(table, skews, s + [x])
+            if h not in found:
+                found.add(h)
+                todo.append(h)
+    return sorted(found)
 
 
 def closed_by_grid(group, elems):
@@ -597,6 +631,23 @@ def kernel_by_element(rep):
     eye = np.eye(rep.dim)
     return tuple(x for x in range(rep.group.order)
                  if np.abs(rep.images[x] - eye).max() <= EPS)
+
+
+def one_dim_reps_by_cover(group):
+    """Every 1-dim representation as a restricted linear character of the cover at anchor 0.
+
+    The cover's linear characters whose kernel meets the embedded carrier,
+    restricted, deduplicated by rounded value vector.
+    """
+    from polyadic.binary import linear_characters
+    cov = P.covering_group(group, 0)
+    seen = {}
+    for row in linear_characters(cov.group):
+        restricted = row[cov.embed]
+        if np.abs(restricted - 1.0).min() <= EPS:
+            seen.setdefault(tuple(np.round(restricted, 9).tolist()),
+                            P.Representation(group, restricted.reshape(-1, 1, 1)))
+    return list(seen.values())
 
 
 def character_class_spread(rep):

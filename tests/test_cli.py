@@ -230,6 +230,21 @@ class TestEmittedGroups:
         code, out = run(capsys, "classify", str(path))
         assert code == 0 and json.loads(out)["normal_subgroups"] == [[0], [0, 1, 2, 3, 4, 5], [0, 3, 4]]
 
+    def test_large_arity_reads_no_table(self, capsys, tmp_path, monkeypatch):
+        # Regression: subgroups exited 1 on the 6^70 cells of derived(S3, 70)
+        path = tmp_path / "S3-70.json"
+        save_group(P.derived(P.symmetric_group_3(), 70), path)
+
+        def refuse(self):
+            raise AssertionError("dense table read")
+
+        monkeypatch.setattr(P.NaryGroup, "dense", refuse)
+        code, out = run(capsys, "subgroups", str(path))
+        assert code == 0 and len(json.loads(out)["subgroups"]) == 8
+        for command in ("reps", "chars"):
+            code, out = run(capsys, command, str(path))
+            assert code == 0 and json.loads(out), command
+
     def test_classify_cases(self, capsys, files):
         code, out = run(capsys, "classify", files["S3T"])
         assert json.loads(out)["case"] == "has-proper-normal"

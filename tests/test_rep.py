@@ -8,7 +8,7 @@ import pytest
 import oracle
 import polyadic as P
 from polyadic.binary import linear_characters
-from conftest import A3, SIGN, TRANSPOSITIONS, s3_two_dim
+from conftest import A3, SIGN, TRANSPOSITIONS, derived_corpus, s3_two_dim
 
 
 def one_dim(values):
@@ -543,6 +543,42 @@ class TestOneDimReps:
             assert P.value_vector_set(r for r in rows if np.abs(r - 1).min() <= 1e-9) == base
 
 
+class TestOneDimClosedForm:
+    """Theorem 1's closed form from (G, phi, b) against the cover route it replaced."""
+
+    def test_equals_the_cover_route(self, fixtures, hg_stock_60):
+        for name, group in list(fixtures.items()) + hg_stock_60 + derived_corpus():
+            got = P.one_dim_reps(group)
+            want = P.value_vector_set(oracle.one_dim_reps_by_cover(group))
+            assert P.value_vector_set(got) == want and len(got) == len(want), name
+
+    def test_sorted_by_phase_vector_and_repeatable(self, fixtures, hg_stock):
+        for name, group in list(fixtures.items()) + hg_stock:
+            reps = P.one_dim_reps(group)
+            phases = [tuple(np.round(np.angle(r.images[:, 0, 0]) / (2 * np.pi), 9) % 1)
+                      for r in reps]
+            assert phases == sorted(phases), name
+            again = P.one_dim_reps(group)
+            assert all(np.array_equal(a.images, b.images) for a, b in zip(reps, again)), name
+
+    def test_builds_no_cover(self, fixtures, monkeypatch):
+        import polyadic.cover
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("covering group built")
+
+        for module in (polyadic.cover, P):
+            monkeypatch.setattr(module, "covering_group", refuse)
+        for group in fixtures.values():
+            assert P.one_dim_reps(group)
+
+    def test_large_arity(self):
+        # Regression: the cover of derived(S3, 70) took seconds; at n = 700 it has 4194 elements
+        reps = P.one_dim_reps(P.derived(P.symmetric_group_3(), 700))
+        assert P.value_vector_set(reps) == P.value_vector_set([np.ones(6), SIGN])
+        assert [P.kernel(r) for r in reps] == [tuple(range(6)), A3]
+
+
 class TestTernaryMinusClassification:
     @pytest.mark.parametrize("order,valid_count", [(4, 3), (2, 3), (3, 1)])
     def test_counts(self, order, valid_count):
@@ -563,7 +599,7 @@ class TestTernaryMinusClassification:
                 assert np.abs(char * char - 1).max() < 1e-9
 
     def test_klein_base(self):
-        # the sign-times-character set is the cover enumeration
+        # the sign-times-character set is the one_dim_reps enumeration
         klein = P.direct_product(P.cyclic_group(2), P.cyclic_group(2))
         for base in [klein] + [P.cyclic_group(m) for m in (2, 3, 4, 6)]:
             result = P.classify_ternary_minus(base)

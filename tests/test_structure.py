@@ -3,9 +3,10 @@
 import pytest
 
 import polyadic as P
-from conftest import A3, TRANSPOSITIONS, binary_catalog, z2_4_ternary
+from conftest import A3, TRANSPOSITIONS, binary_catalog, derived_corpus, z2_4_ternary
 from oracle import (closed_by_grid, cosets_by_loops, first_skew_outside, is_normal_by_eval,
-                    normal_subgroups_by_enumeration, powerset_subgroups, scan_verdict)
+                    normal_subgroups_by_enumeration, powerset_subgroups, scan_verdict,
+                    subgroups_by_closure)
 
 
 def d8_z4(*more):
@@ -89,6 +90,24 @@ class TestSubgroups:
         assert sizes.count(4) == 140 and sizes.count(8) == 30
         assert tuple(range(16)) in subs
         assert all(P.is_subgroup(group, h) for h in subs)
+
+
+class TestSubgroupsFromDecomposition:
+    """The batched set-product lattice against the table-closure search it replaced."""
+
+    def test_equals_the_closure_search(self, fixtures, hg_stock_60):
+        for name, group in list(fixtures.items()) + hg_stock_60 + derived_corpus():
+            assert P.subgroups(group) == subgroups_by_closure(group), name
+
+    def test_large_arity_reads_no_table(self, monkeypatch):
+        # Regression: derived(S3, 70) has 6^70 cells, and the search read them all
+        group = P.derived(P.symmetric_group_3(), 70)
+
+        def refuse(self):
+            raise AssertionError("dense table read")
+
+        monkeypatch.setattr(P.NaryGroup, "dense", refuse)
+        assert P.subgroups(group) == powerset_subgroups(group)
 
 
 class TestNormality:
