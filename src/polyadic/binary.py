@@ -247,8 +247,8 @@ class BinaryGroup:
             raise InvalidGroupError(f"set not closed: {e[i]}*{e[j]}={products[i, j]}")
         return BinaryGroup(pos, check=False), {int(x): i for i, x in enumerate(e)}
 
-    def quotient(self, normal) -> tuple["BinaryGroup", tuple[tuple[int, ...], ...]]:
-        """Quotient by a normal subgroup; blocks sorted by least member.
+    def quotient(self, normal) -> tuple["BinaryGroup", np.ndarray]:
+        """Quotient by a normal subgroup, and each element's coset, numbered by least member.
 
         Normality and the coset partition are checked; the quotient of a
         group by a normal subgroup is a group, so its table is not re-checked.
@@ -259,7 +259,7 @@ class BinaryGroup:
         blocks, index = coset_partition(self.table[:, h], len(h))
         reps = blocks[:, 0]
         table = index[self.table[np.ix_(reps, reps)]]
-        return BinaryGroup(table, check=False), tuple(tuple(b) for b in blocks.tolist())
+        return BinaryGroup(table, check=False), read_only(index)
 
     def __eq__(self, other):
         return isinstance(other, BinaryGroup) and np.array_equal(self.table, other.table)
@@ -373,8 +373,8 @@ def abelian_phases(group: BinaryGroup) -> tuple[np.ndarray, int]:
     x = g1^e1 ... gk^ek.  The candidate for exponents c has phases
     sum_j c_j e_j L / o_j in units of 1/L, L = lcm(o1..ok); all candidates
     come from one product of the exponent and coordinate matrices.  A
-    candidate is kept when its phases add up along the full table, so every
-    kept row is exactly multiplicative.
+    candidate is kept when its phases add up along the full table, all rows
+    in one (k, m, m) compare, so every kept row is exactly multiplicative.
     """
     if not group.is_abelian:
         raise InvalidGroupError("character enumeration requires an abelian group")
@@ -393,7 +393,8 @@ def abelian_phases(group: BinaryGroup) -> tuple[np.ndarray, int]:
     coords = exps[np.unique(elems, return_index=True)[1]]
     period = int(np.lcm.reduce(orders))
     phases = np.unique((exps * (period // orders)) @ coords.T % period, axis=0)
-    valid = phases[[np.array_equal(p[table], (p[:, None] + p[None, :]) % period) for p in phases]]
+    valid = phases[(phases[:, table] == (phases[:, :, None] + phases[:, None, :]) % period)
+                   .all(axis=(1, 2))]
     if len(valid) != m:
         raise InvalidGroupError(f"expected {m} characters, found {len(valid)}")
     return valid, period
@@ -424,12 +425,8 @@ def linear_characters(group: BinaryGroup) -> np.ndarray:
     characters of the quotient by the commutator subgroup pulled back along
     the block map.
     """
-    derived_sub = commutator_subgroup(group)
-    quot, blocks = group.quotient(derived_sub)
-    idx = np.zeros(group.order, dtype=np.int64)
-    for i, blk in enumerate(blocks):
-        idx[list(blk)] = i
-    return abelian_characters(quot)[:, idx]
+    quot, index = group.quotient(commutator_subgroup(group))
+    return abelian_characters(quot)[:, index]
 
 
 def abelian_invariants(group: BinaryGroup) -> list[int]:

@@ -11,8 +11,8 @@ on m^2 + m + 1 tuples (:func:`verify_representation`), never by sampling.
 :class:`Representation` and :class:`BinaryRepresentation` are verified
 values, as :class:`~polyadic.binary.BinaryGroup` is: construction runs the
 verifier and raises :class:`~polyadic.errors.InvalidGroupError`, carrying
-the report, on failure.  The images are kept as a read-only copy, so no
-function that takes a representation checks it again.
+the report, on failure (:func:`one_dim_reps` certifies its results first).
+The images are kept read-only, so nothing checks a representation again.
 
 Matrix equality uses two fixed tolerances, ``EPS`` = 1e-9 per entry and
 ``SUM_EPS`` = 1e-6 for accumulated sums such as orthogonality; no argument
@@ -45,25 +45,38 @@ def _mat_close(a: np.ndarray, b: np.ndarray, eps: float) -> bool:
     return bool(np.abs(a - b).max() <= eps)
 
 
-def _verified_images(rep, verify) -> None:
-    """Keep ``rep.images`` as a read-only complex copy and verify them; raise on failure."""
-    arr = read_only(np.array(rep.images, dtype=complex))
-    object.__setattr__(rep, "images", arr)
-    report = verify(rep.group, arr)
+def _require(report: VerificationReport) -> None:
+    """Raise :class:`InvalidGroupError`, carrying the report, unless it passed."""
     if not report.passed:
         f = report.first()
         raise InvalidGroupError(f"not a representation: {f.axiom} witness={f.witness}", report)
 
 
+def _verified_images(rep, verify) -> None:
+    """Keep ``rep.images`` as a read-only complex copy and verify them; raise on failure."""
+    arr = read_only(np.array(rep.images, dtype=complex))
+    object.__setattr__(rep, "images", arr)
+    _require(verify(rep.group, arr))
+
+
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """Map from carrier elements to invertible complex matrices, verified on construction."""
+    """Map from carrier elements to invertible complex matrices, verified on construction
+    (:func:`one_dim_reps` alone skips the verifier, through :meth:`_certified`)."""
 
     group: NaryGroup
     images: np.ndarray
 
     def __post_init__(self):
         _verified_images(self, verify_representation)
+
+    @classmethod
+    def _certified(cls, group: NaryGroup, images: np.ndarray) -> "Representation":
+        """A representation of ``images`` that a certificate has already decided, kept read-only."""
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "group", group)
+        object.__setattr__(rep, "images", read_only(images))
+        return rep
 
     @property
     def dim(self) -> int:
@@ -453,19 +466,19 @@ def one_dim_reps(group: NaryGroup) -> list[Representation]:
     roots u are the phases c(b) + E j in units of 1/(E(n-1)), j = 0..n-2, so
     rho has phase (n-1) c(x) + c(b) + E j mod E(n-1): each pair is kept iff
     some phase is 0, decided on integers.  No cover is built and no m^n
-    table is read: past the O(m^2) of N and A the pairs cost O(n m |A|), and
-    each result is verified, at n (m^2 + m + 1) products, as its
-    :class:`Representation` is built.  The list is sorted by phase vector.
+    table is read: past the O(m^2) of N and A the pairs cost O(n m |A|).
+    All k results are certified at once, with no tolerance: their phases must
+    add up mod E(n-1) on the rows of :func:`~polyadic.core.homomorphism_certificate_rows`
+    (roots of unity are invertible; the kernel is the filter above), or
+    :class:`~polyadic.errors.InvalidGroupError` is raised.  Sorted by phase
+    vector, they are built by :meth:`Representation._certified`.
     """
     hg, n = group.hg, group.arity
     base, phi = hg.group, hg.phi
     t, inv = base.table, base.inverse
     normal = close(t, inv, [*commutator_subgroup(base), *t[np.arange(base.order), inv[phi]]])
-    quot, blocks = base.quotient(normal)
+    quot, block_of = base.quotient(normal)
     phases, period = abelian_phases(quot)
-    block_of = np.empty(base.order, dtype=np.int64)
-    for i, blk in enumerate(blocks):
-        block_of[list(blk)] = i
     c = phases[:, block_of]                          # rows chi, columns x
     roots = c[:, hg.b, None] + period * np.arange(n - 1)
     full = period * (n - 1)
@@ -473,8 +486,14 @@ def one_dim_reps(group: NaryGroup) -> list[Representation]:
     rho = rho.reshape(-1, base.order)
     rho = rho[(rho == 0).any(axis=1)]
     rho = rho[np.lexsort(rho.T[::-1])]
-    return [Representation(group, np.exp(2j * np.pi * row / full).reshape(-1, 1, 1))
-            for row in rho]
+    rows = homomorphism_certificate_rows(group)
+    excess = -rho[:, group(*rows.T)]                 # rho(x1) + ... + rho(xn) - rho(f(x1..xn))
+    for col in rows.T:
+        excess += rho[:, col]
+    wrong = np.argwhere(excess % full)[:1, 1]
+    _require(VerificationReport.certificate([("homomorphism", rows[r]) for r in wrong], len(rows)))
+    images = read_only(np.exp(2j * np.pi * rho / full).reshape(len(rho), -1, 1, 1))
+    return [Representation._certified(group, row) for row in images]
 
 
 def one_dim_reps_bruteforce(group: NaryGroup) -> list[np.ndarray]:

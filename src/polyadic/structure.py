@@ -24,7 +24,6 @@ from .retract import retract
 SubgroupRef = tuple[int, ...]
 
 SUBGROUP_ORDER_LIMIT = 24
-_PLACE_CELLS = 1 << 20
 
 
 def verify_subgroup(group: NaryGroup, elems) -> VerificationReport:
@@ -195,51 +194,56 @@ def normal_subgroups(group: NaryGroup) -> list[SubgroupRef]:
     - the orbits of <inner automorphisms, phi> on G each generate a
       phi-invariant normal subgroup A, one closure on the m x m table each;
     - every phi-invariant normal N is a join of those, reached from {e} by
-      joins with one A at a time; N A is the union of the cosets aN, a in A,
-      read from N's coset index;
-    - per N the blocks come from the coset builder, and the identity test
-      reads f(x^i, y, x^(n-1-i)) = P_i(x) phi^i(y) S_i(x), with the prefix
-      P_i(x) = x phi(x) ... phi^(i-1)(x) and suffix S_i(x) = phi^(i+1)(x)
-      ... phi^(n-1)(x) b built once for every x; by the congruence, x and y
-      range over block representatives.
+      joins with one A at a time, level by level in a (k, m) bool mask
+      matrix: N A is the union of the cosets xA (labelled by least member)
+      that meet N, one scatter and one gather per level;
+    - every N and every x are tested in one gather of the masks, by the
+      two-place theorem: xN is an identity iff y^-1 x phi(y) S_1(x) lies in
+      N for every y, S_1(x) = phi^2(x) ... phi^(n-1)(x) b.
+
+    Two-place theorem.  In Post's cover E = G x Z_(n-1), (x, i)(y, j) =
+    (x phi^i(y) b^[i+j >= n-1], i+j mod n-1), iota(x) = (x, 1) turns f into
+    the product of E, and N^ = N x {0} is normal.  Place 0 puts iota(x)^(n-1)
+    in N^; with it, place 1 makes iota(x) commute mod N^ with every iota(y),
+    and these generate E, so iota(x)^i iota(y) iota(x)^(n-1-i) = iota(y) mod
+    N^ at every place i.  In G, place 1 is x phi(y) S_1(x) in yN, and place 0,
+    phi(x) S_1(x) in N, is place 1 at y = x.
     """
-    hg, n = group.hg, group.arity
-    base, pows = hg.group, hg.phi_powers
+    hg = group.hg
+    base, phi = hg.group, hg.phi
     t, inv, m = base.table, base.inverse, base.order
-    moves = np.vstack([t[t, inv[:, None]], hg.phi])   # rows a: x -> a x a^-1, then phi
+    moves = np.vstack([t[t, inv[:, None]], phi])   # rows a: x -> a x a^-1, then phi
     orbits = Partition.components(moves).blocks
     gens = np.zeros((len(orbits), m), dtype=bool)
     for row, orbit in zip(gens, orbits):
         row[list(close(t, inv, list(orbit)))] = True
-    gens = np.unique(gens, axis=0)   # orbits may generate alike
-    gen_row, gen_elem = np.nonzero(gens)
-    prefix = np.empty((n, m), dtype=np.int64)
-    suffix = np.empty((n, m), dtype=np.int64)
-    prefix[0], suffix[n - 1] = base.identity, hg.b
-    for i in range(1, n):
-        prefix[i] = t[prefix[i - 1], pows[i - 1]]
-        suffix[n - 1 - i] = t[pows[n - i], suffix[n - i]]
-    trivial = np.zeros(m, dtype=bool)
-    trivial[base.identity] = True
-    seen, todo, out = {trivial.tobytes()}, [trivial], []
-    while todo:
-        normal = np.flatnonzero(todo.pop())
-        blocks, index = coset_partition(t[:, normal], len(normal))
-        r, keep = blocks[:, 0], np.ones(len(blocks), dtype=bool)
-        step = max(1, _PLACE_CELLS // len(r) ** 2)   # places per (place, x, y) evaluation
-        for i in range(0, n, step):
-            p = slice(i, i + step)
-            values = t[t[prefix[p, r, None], pows[p, None, r]], suffix[p, r, None]]
-            keep &= (index[values] == np.arange(len(r))).all(axis=(0, 2))
-        out += [tuple(b) for b in blocks[keep].tolist()]
-        hits = np.zeros((len(gens), len(r)), dtype=bool)
-        hits[gen_row, index[gen_elem]] = True
-        for join in hits[:, index]:
-            key = join.tobytes()
-            if key not in seen:
-                seen.add(key)
-                todo.append(join)
-    return sorted(out)
+    gens = np.unique(gens, axis=0)                 # orbits may generate alike
+    ldiv = t[inv[:, None], np.arange(m)]           # ldiv[x, z] = x^-1 z
+    least = gens[:, ldiv].argmax(axis=2)           # [A, x]: the least member of xA
+    a = np.arange(len(gens))
+    level = (np.arange(m) == base.identity)[None]
+    masks, seen = [level], {level.tobytes()}
+    while len(level):
+        which, member = np.nonzero(level)
+        meets = np.zeros((len(level), len(gens), m), dtype=bool)   # [N, A, c]: coset c meets N
+        meets[which[:, None], a, least[:, member].T] = True
+        grown = meets[:, a[:, None], least].reshape(-1, m)          # every N A
+        fresh = {row.tobytes(): row for row in grown}
+        level = np.array([row for key, row in fresh.items() if key not in seen],
+                         dtype=bool).reshape(-1, m)
+        seen.update(fresh)
+        masks.append(level)
+    masks = np.concatenate(masks)
+    s1 = np.full(m, base.identity)                 # S_1(x) = phi^2(x) ... phi^(n-1)(x) b
+    for power in hg.phi_powers[2:]:
+        s1 = t[s1, power]
+    s1 = t[s1, hg.b]
+    place1 = t[inv, t[t[:, phi], s1[:, None]]]          # [x, y]: y^-1 x phi(y) S_1(x)
+    ok = masks[:, place1].all(axis=2)                   # [N, x]: xN is an identity
+    passing = ok.any(axis=1)
+    cosets = masks[passing][:, ldiv]                    # [N, x, z]: z in xN
+    leaders = ok[passing] & (cosets.argmax(axis=2) == np.arange(m))
+    return sorted(tuple(np.flatnonzero(c).tolist()) for c in cosets[leaders])
 
 
 @dataclass(frozen=True, eq=False)

@@ -102,6 +102,24 @@ def derived_corpus():
             + [("Z2^4/n=3", z2_4_ternary()), ("trivial", P.derived(P.cyclic_group(1), 3))])
 
 
+def d8_z4(*more):
+    """D8 x Z4 (order 64) times the given factors; D8 is the dihedral group of order 16."""
+    base = P.direct_product(P.dihedral_group(8), P.cyclic_group(4))
+    for factor in more:
+        base = P.direct_product(base, factor)
+    return base
+
+
+def large_corpus():
+    """Groups past the m^n budget or the subgroup search: large arity, or orders 64 and 128.
+
+    derived(D8 x Z4, 6) has 37 normal n-ary subgroups, derived(D8 x Z4 x Z2, 3) has 707.
+    """
+    return [("S3/n=70", P.derived(P.symmetric_group_3(), 70)),
+            ("D8xZ4/n=6", P.derived(d8_z4(), 6)),
+            ("D8xZ4xZ2/n=3", P.derived(d8_z4(P.cyclic_group(2)), 3))]
+
+
 def random_hg_stock(count=20, seed=P.SAMPLE_SEED):
     """Deterministic stock of decomposition-built n-ary groups.
 

@@ -10,8 +10,10 @@ table, one closure per candidate set, before it closed each level in one
 batch of set products in G.
 ``normal_subgroups_by_enumeration`` filters that list by the normality
 test, the route ``classify_simplicity`` took before it read the normal
-subgroups from (G, phi, b), and ``closed_by_grid`` is ``verify_subgroup``'s
-old closure check over all |H|^n tuples.
+subgroups from (G, phi, b); ``normal_subgroups_by_blocks`` is the first
+route from (G, phi, b), one subgroup N of G at a time with the identity
+test at all n places.  ``closed_by_grid`` is ``verify_subgroup``'s old
+closure check over all |H|^n tuples.
 
 The cover and representation oracles are the code those layers ran before
 their certificates: ``eval_long`` folds the operation over a long sequence,
@@ -37,7 +39,8 @@ with a dict, and ``skew_by_element`` solves for one skew at a time.
 
 The last oracles are routes the library once ran beside its own answer:
 ``orbits_by_union_find`` joins points one (element, point) pair at a time,
-``first_skew_outside`` walks a subset's skews, ``lift_criterion_by_eval``
+``shifted_identity_failure`` is the check ``centralizer`` ran on its
+stabilizer, ``first_skew_outside`` walks a subset's skews, ``lift_criterion_by_eval``
 tests the inner-tuple lift criterion one ``eval`` per tuple (with the ternary
 skew criterion cross-checked), and ``hat_char_by_eval`` and
 ``kernel_by_element`` evaluate one element at a time.
@@ -117,6 +120,52 @@ def normal_subgroups_by_enumeration(group):
     """Every subgroup from the closure-lattice search, kept when it passes the normality test."""
     from polyadic.structure import _is_normal
     return [h for h in P.subgroups(group) if _is_normal(group, h)]
+
+
+def normal_subgroups_by_blocks(group):
+    """The normal n-ary subgroups by the per-subgroup route, testing all n places.
+
+    The route ``normal_subgroups`` took before its two-place mask gather:
+    the phi-invariant normal subgroups N of G are reached one at a time, each
+    N A read from N's coset index, and for each N the coset blocks are built
+    and a block xN kept when f(x^i, y, x^(n-1-i)) lies in yN at every place
+    i, from the prefix P_i(x) = x phi(x) ... phi^(i-1)(x) and suffix
+    S_i(x) = phi^(i+1)(x) ... phi^(n-1)(x) b of every x.
+    """
+    from polyadic.binary import close, coset_partition
+    from polyadic.structure import Partition
+    hg, n = group.hg, group.arity
+    base, pows = hg.group, hg.phi_powers
+    t, inv, m = base.table, base.inverse, base.order
+    moves = np.vstack([t[t, inv[:, None]], hg.phi])
+    orbits = Partition.components(moves).blocks
+    gens = np.zeros((len(orbits), m), dtype=bool)
+    for row, orbit in zip(gens, orbits):
+        row[list(close(t, inv, list(orbit)))] = True
+    gen_row, gen_elem = np.nonzero(gens)
+    prefix = np.empty((n, m), dtype=np.int64)
+    suffix = np.empty((n, m), dtype=np.int64)
+    prefix[0], suffix[n - 1] = base.identity, hg.b
+    for i in range(1, n):
+        prefix[i] = t[prefix[i - 1], pows[i - 1]]
+        suffix[n - 1 - i] = t[pows[n - i], suffix[n - i]]
+    trivial = np.zeros(m, dtype=bool)
+    trivial[base.identity] = True
+    seen, todo, out = {trivial.tobytes()}, [trivial], []
+    while todo:
+        normal = np.flatnonzero(todo.pop())
+        blocks, index = coset_partition(t[:, normal], len(normal))
+        r = blocks[:, 0]
+        values = t[t[prefix[:, r, None], pows[:, None, r]], suffix[:, r, None]]
+        keep = (index[values] == np.arange(len(r))).all(axis=(0, 2))
+        out += [tuple(b) for b in blocks[keep].tolist()]
+        hits = np.zeros((len(gens), len(r)), dtype=bool)
+        hits[gen_row, index[gen_elem]] = True
+        for join in hits[:, index]:
+            if join.tobytes() not in seen:
+                seen.add(join.tobytes())
+                todo.append(join)
+    return sorted(out)
 
 
 def subgroups_by_closure(group):
@@ -414,6 +463,23 @@ def shifted_identity_failure_by_eval(group, a, elems):
     return None
 
 
+def shifted_identity_failure(group, a, elems):
+    """The first (x, i, j, swapped) in ``elems`` whose shifted identity fails, or None.
+
+    The check ``centralizer`` ran after its stabilizer until Post's embedding
+    showed it redundant: one evaluation on the (key, x) grid of every x,
+    i + j <= n-2 and both variants, searched in that order.
+    """
+    n, xs = group.arity, np.asarray(elems, dtype=np.int64)
+    keys = [(i, j, s) for i in range(n - 1) for j in range(n - 1 - i) for s in (False, True)]
+    i, j, swapped = (np.array(col)[:, None] for col in zip(*keys))
+    xb = group.skew_table()[xs]
+    first, second = np.where(swapped, xb, a), np.where(swapped, a, xb)
+    args = [np.where(i == p, first, np.where(i + j + 1 == p, second, xs)) for p in range(n)]
+    bad = np.argwhere((group(*args) != a).T)
+    return (int(xs[bad[0, 0]]),) + keys[bad[0, 1]] if bad.size else None
+
+
 def retract_inverse_by_eval(group, a):
     """x^-1 = f(skew(a), x^(n-3), skew(x), skew(a)) in Ret_a, one ``eval`` per x."""
     n, abar = group.arity, group.skew(a)
@@ -475,7 +541,8 @@ def subgroup_table_by_loops(group, elems):
 
 
 def binary_quotient_by_loops(group, normal):
-    """(table, blocks) of the quotient by a normal subgroup, blocks in order of least member."""
+    """(table, index) of the quotient by a normal subgroup: cosets numbered by least member,
+    ``index[x]`` the coset of x."""
     h = sorted(int(x) for x in normal)
     block_of, blocks = {}, []
     for a in range(group.order):
@@ -487,7 +554,7 @@ def binary_quotient_by_loops(group, normal):
         blocks.append(blk)
     table = np.array([[block_of[group.mul(bi[0], bj[0])] for bj in blocks] for bi in blocks],
                      dtype=np.int64)
-    return table, tuple(blocks)
+    return table, [block_of[x] for x in range(group.order)]
 
 
 def cosets_by_loops(group, subgroup):

@@ -7,8 +7,7 @@ import pytest
 
 import oracle
 import polyadic as P
-from conftest import A3, TRANSPOSITIONS
-from polyadic.action import _shifted_identity_failure
+from conftest import A3, TRANSPOSITIONS, derived_corpus
 
 
 def brute_orbits(act):
@@ -217,11 +216,31 @@ class TestCentralizer:
         assert P.centralizer(z4m, 0) == (0, 2)
         assert P.centralizer(z4m, 1) == (1, 3)
 
-    def test_shifted_identities_hold(self, fixtures):
-        # centralizer() raises if any shifted identity fails
-        for group in fixtures.values():
+    def test_shifted_identities_hold(self, fixtures, hg_stock_60):
+        # Post's embedding makes them hold on the stabilizer, so centralizer() does not check them
+        for name, group in list(fixtures.items()) + hg_stock_60 + derived_corpus():
             for a in range(group.order):
-                P.centralizer(group, a)
+                assert oracle.shifted_identity_failure(group, a, P.centralizer(group, a)) is None, \
+                    (name, a)
+
+    def test_large_arity_evaluates_the_action_and_the_subgroup_check_only(self, monkeypatch):
+        # Regression: the shifted-identity scan evaluated about n^2 |C| n-folds, so
+        # `polyadic centralizer` took seconds on derived(S3, 700)
+        group = P.derived(P.symmetric_group_3(), 700)
+        group.skew_table()
+        evaluated, call = [], P.NaryGroup.__call__
+
+        def counting(self, *xs):
+            out = call(self, *xs)
+            evaluated.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(P.NaryGroup, "__call__", counting)
+        elems = P.centralizer(group, 1)
+        assert elems == (0, 1)
+        # the m^2 cells of the canonical action, then |C|^2 + |C| for the subgroup check
+        m, c = group.order, len(elems)
+        assert sum(evaluated) <= m * m + c * c + c
 
     def test_large_subgroups_at_arity_six(self):
         # Regression: verify_subgroup evaluated |C|^6 tuples, so a = 0 (|C| = 64) raised
@@ -239,7 +258,7 @@ class TestCentralizer:
             for a in range(group.order):
                 assert oracle.shifted_identity_failure_by_eval(group, a, P.centralizer(group, a)) is None
                 everything = range(group.order)
-                assert _shifted_identity_failure(group, a, everything) == \
+                assert oracle.shifted_identity_failure(group, a, everything) == \
                     oracle.shifted_identity_failure_by_eval(group, a, everything), (name, a)
 
 

@@ -8,7 +8,9 @@ import pytest
 import oracle
 import polyadic as P
 from polyadic.binary import linear_characters
-from conftest import A3, SIGN, TRANSPOSITIONS, derived_corpus, s3_two_dim
+from polyadic.core import homomorphism_certificate_rows
+from conftest import (A3, SIGN, TRANSPOSITIONS, binary_catalog, derived_corpus, large_corpus,
+                      s3_two_dim)
 
 
 def one_dim(values):
@@ -529,10 +531,12 @@ class TestOneDimReps:
                 P.one_dim_reps_bruteforce(group)
             ), name
 
-    def test_all_outputs_verified(self, fixtures):
-        for group in fixtures.values():
+    def test_all_outputs_verified(self, fixtures, hg_stock_60):
+        # built unverified after the phase certificate; the float check must agree
+        for name, group in list(fixtures.items()) + hg_stock_60 + derived_corpus() + large_corpus():
             for rep in P.one_dim_reps(group):
-                assert P.verify_representation(group, rep.images).passed
+                assert P.verify_representation(group, rep.images).passed, name
+                assert not rep.images.flags.writeable, name
 
     def test_anchor_choice_irrelevant(self, z4m):
         # the restrictions of the linear characters of the cover at any anchor
@@ -577,6 +581,42 @@ class TestOneDimClosedForm:
         reps = P.one_dim_reps(P.derived(P.symmetric_group_3(), 700))
         assert P.value_vector_set(reps) == P.value_vector_set([np.ones(6), SIGN])
         assert [P.kernel(r) for r in reps] == [tuple(range(6)), A3]
+
+
+class TestOneDimCertificate:
+    """One exact phase certificate decides every 1-dim representation, with no float check."""
+
+    def test_float_check_never_runs(self, fixtures, hg_stock, monkeypatch):
+        import polyadic.rep
+
+        def refuse(group, images):
+            raise AssertionError("verify_representation called")
+
+        monkeypatch.setattr(polyadic.rep, "verify_representation", refuse)
+        for group in list(fixtures.values()) + [group for _, group in hg_stock]:
+            assert P.one_dim_reps(group)
+
+    def test_a_changed_phase_raises(self, monkeypatch):
+        # with |G/G'| >= 3, one changed value of a character is never a character
+        import polyadic.rep
+        original = polyadic.rep.abelian_phases
+
+        def changed(quot):
+            phases, period = original(quot)
+            phases = phases.copy()
+            phases[-1, -1] = (phases[-1, -1] + 1) % period
+            return phases, period
+
+        monkeypatch.setattr(polyadic.rep, "abelian_phases", changed)
+        catalog = binary_catalog()
+        for name in ("Z3", "Z4", "klein", "D4", "Q8"):
+            for n in (3, 4, 7):
+                group = P.derived(catalog[name], n)
+                with pytest.raises(P.InvalidGroupError, match="homomorphism") as caught:
+                    P.one_dim_reps(group)
+                witness = caught.value.report.first().witness
+                assert len(witness) == n and witness in set(
+                    map(tuple, homomorphism_certificate_rows(group).tolist())), (name, n)
 
 
 class TestTernaryMinusClassification:

@@ -3,18 +3,11 @@
 import pytest
 
 import polyadic as P
-from conftest import A3, TRANSPOSITIONS, binary_catalog, derived_corpus, z2_4_ternary
+from conftest import (A3, TRANSPOSITIONS, binary_catalog, d8_z4, derived_corpus,
+                      large_corpus, z2_4_ternary)
 from oracle import (closed_by_grid, cosets_by_loops, first_skew_outside, is_normal_by_eval,
-                    normal_subgroups_by_enumeration, powerset_subgroups, scan_verdict,
-                    subgroups_by_closure)
-
-
-def d8_z4(*more):
-    """D8 x Z4 (order 64) times the given factors; D8 is the dihedral group of order 16."""
-    base = P.direct_product(P.dihedral_group(8), P.cyclic_group(4))
-    for factor in more:
-        base = P.direct_product(base, factor)
-    return base
+                    normal_subgroups_by_blocks, normal_subgroups_by_enumeration,
+                    powerset_subgroups, scan_verdict, subgroups_by_closure)
 
 
 class TestSubgroups:
@@ -151,6 +144,11 @@ class TestNormalSubgroups:
     def test_groups_read_from_dense_tables(self, hg_stock):
         # the decomposition is then anchor 0's, whose base identity is skew(0)
         self.agree([(name, P.NaryGroup(g.arity, g.order, table=g.dense())) for name, g in hg_stock])
+
+    def test_equals_the_all_place_route(self, fixtures, hg_stock_60):
+        # the two-place test in one mask gather, against one subgroup of G at a time, all n places
+        for name, group in list(fixtures.items()) + hg_stock_60 + derived_corpus() + large_corpus():
+            assert P.normal_subgroups(group) == normal_subgroups_by_blocks(group), name
 
     def test_trivial_group(self):
         group = P.derived(P.cyclic_group(1), 3)
