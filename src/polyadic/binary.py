@@ -280,9 +280,12 @@ def is_automorphism(group: BinaryGroup, perm) -> bool:
 
 
 def perm_power(perm: np.ndarray, k: int) -> np.ndarray:
-    acc = np.arange(len(perm))
-    for _ in range(k):
-        acc = perm[acc]
+    """``perm`` applied k times (the identity for k <= 0), by repeated squaring: O(m log k)."""
+    acc, square = np.arange(len(perm)), np.asarray(perm)
+    while k > 0:
+        if k & 1:
+            acc = square[acc]
+        square, k = square[square], k >> 1
     return acc
 
 

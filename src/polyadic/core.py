@@ -11,8 +11,10 @@ gather from the m^n table :meth:`NaryGroup.dense` caches.
 
 The certificate decides the axioms exactly: a table is an n-ary group iff it
 equals ``x1 phi(x2) ... phi^(n-1)(xn) b`` for a valid decomposition, which
-costs O(n m^n + m^3) to check.  Passing verdicts are therefore never
-sampled.  A rejected table gets the lexicographically first witness of each
+costs O(n m^n + m^3) to check, so passing verdicts are never sampled.  The
+table is compared in block rows with the block product ``right[left]`` of
+:func:`_hg_blocks`; one equal to it holds only element indices, so entries
+are range-checked only once the certificate fails, before any report.  A rejected table gets the lexicographically first witness of each
 violated axiom, (i,j)-associativity for all argument pairs and unique
 solvability at every place, as the exhaustive scan would report it.  The
 witnesses are searched for among the tuples and lines that read the
@@ -29,7 +31,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain
 from math import prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .report import DEFAULT_BUDGET, SAMPLE_COUNT, VerificationReport, sample_tup
 
 DENSE_LIMIT = 1 << 24
 _CHUNK_CELLS = 1 << 21
+_BLOCK_CELLS, _COMPARE_CELLS = 1 << 12, 1 << 16   # the certificate's right block and compare step
 _FIRST_ROWS, _MAX_ROWS = 256, 1 << 16   # chunk sizes of the difference-set search
 
 
@@ -78,9 +81,6 @@ class NaryGroup:
             arr = np.asarray(table, dtype=np.int64)
             if arr.size != m ** n:
                 raise InvalidGroupError(f"table needs {m ** n} entries, got {arr.size}")
-            # one pass: as uint64 a negative entry is huge, so max() catches both ends
-            if arr.view(np.uint64).max() >= m:
-                raise InvalidGroupError("table entries must be element indices")
             arr = np.ascontiguousarray(arr.reshape((m,) * n))
             certified = _certify_dense(arr)
             if isinstance(certified, HGData):
@@ -88,6 +88,10 @@ class NaryGroup:
                 if not (isinstance(table, np.ndarray) and np.may_share_memory(arr, table)):
                     self._table = arr   # built here from a list or a cast: no caller holds it
             else:
+                # a table equal to the rebuild holds only indices; as uint64 a
+                # negative entry is huge, so one max() catches both ends
+                if arr.view(np.uint64).max() >= m:
+                    raise InvalidGroupError("table entries must be element indices")
                 self._rejected = arr
                 report = _difference_report(arr, certified)
                 self.report = report if report is not None else _witness_report(self, certified)
@@ -170,16 +174,19 @@ class NaryGroup:
         return int(self(*xs))
 
     def dense(self) -> np.ndarray:
-        """The full operation table, shape (m,)*n: cached and writable; kept from the constructor
-        when it built the array, else a grid evaluation.
+        """The full operation table, shape (m,)*n, int64: cached and writable; kept from the
+        constructor when it built the array, else one row gather ``right[left]``
+        of the Hosszú–Gluskin blocks (:func:`_hg_blocks`), with no n-axis grid.
 
         Only code that reads every cell calls it: the scans, ``quotient``,
         ``is_central``, ``is_conjugation_congruence``, ``one_dim_reps_bruteforce``,
         the dense file writer and ``subgroup_closure``.
         """
         if self._table is None:
-            _require_small((self.order,) * self.arity)   # np.ix_ makes at most 64 axes
-            self._table = self(*np.ix_(*[np.arange(self.order)] * self.arity))
+            shape = (self.order,) * self.arity
+            _require_small(shape)
+            left, right = _hg_blocks(self.hg, _block_split(self.order, self.arity))
+            self._table = right.take(left, axis=0).reshape(shape)
         return self._table
 
     # -- skew elements ---------------------------------------------------------
@@ -374,7 +381,7 @@ class _Rejection(NamedTuple):
     abar: int | None                   # skew of the anchor 0, when unique
     mismatch: tuple[int, ...] | None   # first cell differing from the rebuild
     data: HGData | None = None         # the decomposition at anchor 0, when valid
-    flat: np.ndarray | None = None     # differing cells of mismatch's slice, flat
+    flats: Iterator[np.ndarray] | None = None   # the differing blocks, mismatch's first
 
 
 def _decompose(table: np.ndarray, a: int) -> tuple[int | None, HGData | None]:
@@ -383,47 +390,62 @@ def _decompose(table: np.ndarray, a: int) -> tuple[int | None, HGData | None]:
     Formulas as in :func:`polyadic.retract.hg_decompose`: the retract ``x*y =
     f(x, a^(n-2), y)``, ``phi(x) = f(skew(a), x, a^(n-2))`` and ``b =
     f(skew(a)^n)``.  Either part is None when the table does not yield it.
+    No unchecked cell is used as an index: b is range-checked here, the
+    retract and the phi line as a group table and an automorphism.
     """
-    n = table.ndim
+    m, n = table.shape[0], table.ndim
     anchors = (a,) * (n - 2)
     hits = np.nonzero(table[(a,) * (n - 1)] == a)[0]
     if len(hits) != 1:
         return None, None
     abar = int(hits[0])
+    b = int(table[(abar,) * n])
+    if not 0 <= b < m:
+        return abar, None
     try:
         g = BinaryGroup(table[(slice(None),) + anchors + (slice(None),)])
-        return abar, HGData(g, table[(abar, slice(None)) + anchors], int(table[(abar,) * n]), n)
+        return abar, HGData(g, table[(abar, slice(None)) + anchors], b, n)
     except InvalidGroupError:
         return abar, None
 
 
-def _rebuilt_slices(data: HGData):
-    """Slice x1 of ``x1 phi(x2) ... phi^(n-1)(xn) b`` is ``tail[g.table[x1, prefix]]``.
+def _block_split(m: int, n: int) -> int:
+    """The largest k <= n-1, at least 1, whose right block of m^(k+1) cells fits ``_BLOCK_CELLS``."""
+    return max([1] + [k for k in range(2, n) if m ** (k + 1) <= _BLOCK_CELLS])
 
-    ``prefix`` is phi(x2) ... phi^(n-2)(x(n-1)) flattened over x2..x(n-1), and
-    row y of ``tail`` is the last argument's contribution, y phi^(n-1)(xn) b;
-    a slice has shape (m^(n-2), m).
+
+def _hg_blocks(data: HGData, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The operation as a block product: f(x1..xn) = right[left[x1..x(n-k)], x(n-k+1)..xn].
+
+    ``left`` is x1 phi(x2) ... phi^(n-k-1)(x(n-k)), flat over its m^(n-k)
+    arguments; row v of ``right`` is v phi^(n-k)(x(n-k+1)) ... phi^(n-1)(xn) b,
+    flat over the last k arguments, so ``right`` has shape (m, m^k).
     """
-    g, pows, n = data.group, data.phi_powers, data.arity
-    prefix = pows[1]
-    for k in range(2, n - 1):
-        prefix = g.table[prefix[..., None], pows[k]]
-    return prefix.reshape(-1), g.table[:, g.table[pows[n - 1], data.b]]
+    g, pows, n = data.group.table, data.phi_powers, data.arity
+    left = np.arange(data.group.order)
+    for j in range(1, n - k):
+        left = g[left[:, None], pows[j]].reshape(-1)
+    tail = g[pows[n - 1], data.b]
+    for j in range(n - 2, n - k - 1, -1):
+        tail = g[pows[j][:, None], tail].reshape(-1)
+    return left, g[:, tail]
 
 
-def _mismatches(table: np.ndarray, data: HGData, start: int = 0):
-    """Yield (x1, flat indices) for each slice from ``start`` on that differs from the rebuild.
+def _mismatches(table: np.ndarray, data: HGData) -> Iterator[np.ndarray]:
+    """Yield the flat indices of the cells that differ from the rebuild, one array per block.
 
-    Slices are compared one at a time with :func:`np.array_equal`, so no
-    table-sized temporary is made; only a differing slice is searched.
+    The table's rows of the :func:`_hg_blocks` split are compared with
+    ``right[left]``, ``_COMPARE_CELLS`` at a time.  ``right`` is uint8, which
+    holds every index of a dense table (n >= 3, m^n <= 2^24 give m <= 256);
+    the table is read as given, never cast, so an entry 256 + v differs from v.
     """
-    m = table.shape[0]
-    prefix, tail = _rebuilt_slices(data)
-    for x1 in range(start, m):
-        rebuilt = tail[data.group.table[x1, prefix]]
-        given = table[x1].reshape(-1, m)
-        if not np.array_equal(rebuilt, given):
-            yield x1, np.flatnonzero(rebuilt != given)
+    left, right = _hg_blocks(data, _block_split(table.shape[0], table.ndim))
+    right, step = right.astype(np.uint8), max(1, _COMPARE_CELLS // right.shape[1])
+    given = table.reshape(len(left), right.shape[1])
+    for lo in range(0, len(left), step):
+        block, rebuilt = given[lo:lo + step], right.take(left[lo:lo + step], axis=0)
+        if not np.array_equal(block, rebuilt):
+            yield lo * right.shape[1] + np.flatnonzero(block != rebuilt)
 
 
 def _certify_dense(table: np.ndarray) -> HGData | _Rejection:
@@ -432,34 +454,35 @@ def _certify_dense(table: np.ndarray) -> HGData | _Rejection:
     At anchor 0 (Hosszú 1963, Gluskin 1965): the skew of 0 must be unique, the
     retract must be a group, phi and b must satisfy the :class:`HGData`
     conditions, and the table must equal ``x1 phi(x2) ... phi^(n-1)(xn) b``
-    cell by cell.  Every n-ary group passes all four steps, and any table
-    that does is an n-ary group.
+    cell by cell, compared in block rows by :func:`_mismatches`.  Every n-ary
+    group passes all four steps, and any table that does is an n-ary group,
+    so a passing table holds only element indices: the constructor's range
+    check runs only on a rejected table.
     """
-    m, n = table.shape[0], table.ndim
     abar, data = _decompose(table, 0)
     if data is None:
         return _Rejection(abar, None)
-    for x1, flat in _mismatches(table, data):
-        rest = np.unravel_index(int(flat[0]), (m,) * (n - 1))
-        return _Rejection(abar, (x1,) + tuple(int(v) for v in rest), data, flat)
+    flats = _mismatches(table, data)
+    for flat in flats:
+        mismatch = tuple(int(v) for v in np.unravel_index(int(flat[0]), table.shape))
+        return _Rejection(abar, mismatch, data, chain([flat], flats))
     return data
 
 
-def _difference_set(table: np.ndarray, slices, limit: int) -> np.ndarray | None:
-    """The cells of the (x1, flat indices) ``slices`` of :func:`_mismatches`.
+def _difference_set(shape: tuple[int, ...], flats, limit: int) -> np.ndarray | None:
+    """The cells of the flat indices ``flats`` of :func:`_mismatches`, unravelled over ``shape``.
 
     Returned as a (|D|, n) array in lexicographic order, or None as soon as
     there are more than ``limit`` of them.
     """
-    m, n = table.shape[0], table.ndim
-    cells, count = [], 0
-    for x1, flat in slices:
+    found, count = [], 0
+    for flat in flats:
         count += flat.size
         if count > limit:
             return None
-        rest = np.unravel_index(flat, (m,) * (n - 1))
-        cells.append(np.stack((np.full(flat.size, x1),) + rest, axis=1))
-    return np.concatenate(cells) if cells else np.empty((0, n), dtype=np.int64)
+        found.append(flat)
+    flat = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+    return np.stack(np.unravel_index(flat, shape), axis=1)
 
 
 def _difference_report(table: np.ndarray, rejection: _Rejection) -> VerificationReport | None:
@@ -489,20 +512,16 @@ def _difference_report(table: np.ndarray, rejection: _Rejection) -> Verification
     m, n = table.shape[0], table.ndim
     cap = min(DEFAULT_BUDGET, m ** (2 * n - 1))
     limit = cap // (2 * n * min(_FIRST_ROWS, m ** (n - 1)))
-    data = rejection.data
-    if data is not None:
-        # the certificate has already compared the slices up to its mismatch
-        x1 = rejection.mismatch[0]
-        slices = chain([(x1, rejection.flat)], _mismatches(table, data, x1 + 1))
-    else:
+    data, flats = rejection.data, rejection.flats   # compared up to the mismatch's block
+    if data is None:
         for a in range(1, m):
             data = _decompose(table, a)[1]
             if data is not None:
                 break
         else:
             return None
-        slices = _mismatches(table, data)
-    cells = _difference_set(table, slices, limit)
+        flats = _mismatches(table, data)
+    cells = _difference_set(table.shape, flats, limit)
     if cells is None or len(cells) == 0:
         return None
 
@@ -518,10 +537,9 @@ def _difference_report(table: np.ndarray, rejection: _Rejection) -> Verification
                 solvability.append((f"solvability(place={place + 1})", tuple(fixed)))
                 break
 
-    g, ev = data.group, _gather(table)
-    prefix, tail = _rebuilt_slices(data)
+    ev = _gather(table)
+    left, tail = _hg_blocks(data, 1)
     solve = np.argsort(tail, axis=1)      # tail[p, solve[p, v]] == v
-    inner = m ** (n - 2)
 
     def rows(k: int, d: np.ndarray, outer: bool, idx: np.ndarray) -> np.ndarray:
         """The tuples at free index ``idx`` of the families (k, outer) through ``d``."""
@@ -529,7 +547,7 @@ def _difference_report(table: np.ndarray, rejection: _Rejection) -> Verification
         d = np.broadcast_to(d, (len(idx), n))
         if not outer:
             return np.concatenate((free[:, :k - 1], d, free[:, k - 1:]), axis=1)
-        last = solve[g.table[free[:, 0], prefix[idx % inner]], d[:, k - 1]]
+        last = solve[left[idx], d[:, k - 1]]
         return np.concatenate((d[:, :k - 1], free, last[:, None], d[:, k:]), axis=1)
 
     # Families in the order of their first tuples: once every axiom has a

@@ -49,6 +49,8 @@ closed form from (G, phi, b): the linear characters of the covering group,
 restricted to the carrier.
 ``character_class_spread`` scans the conjugacy classes that ``character``
 once checked its trace against.
+``mismatches_by_slices`` is the certificate's compare before block rows: the
+rebuilt table one slice x1 at a time.
 """
 
 import itertools
@@ -722,3 +724,23 @@ def character_class_spread(rep):
     traces = np.trace(rep.images, axis1=1, axis2=2)
     return max(np.abs(traces[list(blk)] - traces[blk[0]]).max()
                for blk in P.conjugacy_classes(rep.group).blocks)
+
+
+def mismatches_by_slices(table, data):
+    """Yield the flat indices of the cells differing from the rebuild, one array per slice x1.
+
+    Slice x1 of ``x1 phi(x2) ... phi^(n-1)(xn) b`` is ``tail[g.table[x1, prefix]]``:
+    ``prefix`` is phi(x2) ... phi^(n-2)(x(n-1)) flattened over x2..x(n-1), and
+    row y of ``tail`` is y phi^(n-1)(xn) b; a slice has shape (m^(n-2), m).
+    """
+    g, pows, n = data.group, data.phi_powers, data.arity
+    m = g.order
+    prefix = pows[1]
+    for k in range(2, n - 1):
+        prefix = g.table[prefix[..., None], pows[k]]
+    prefix, tail = prefix.reshape(-1), g.table[:, g.table[pows[n - 1], data.b]]
+    for x1 in range(m):
+        rebuilt = tail[g.table[x1, prefix]]
+        given = table[x1].reshape(-1, m)
+        if not np.array_equal(rebuilt, given):
+            yield x1 * m ** (n - 1) + np.flatnonzero(rebuilt != given)

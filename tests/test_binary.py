@@ -174,6 +174,33 @@ def test_perm_power():
     assert np.array_equal(perm_power(perm, 0), np.arange(3))
 
 
+def _catalog_automorphisms():
+    return [(name, phi) for name, base in binary_catalog().items() for phi in P.automorphisms(base)]
+
+
+def test_perm_power_by_squaring_matches_the_loop():
+    for name, phi in _catalog_automorphisms():
+        looped = np.arange(len(phi))
+        for k in range(61):
+            assert np.array_equal(perm_power(phi, k), looped), (name, k)
+            looped = phi[looped]
+
+
+def test_perm_power_at_a_huge_exponent():
+    k = 10 ** 12
+    for name, phi in _catalog_automorphisms():
+        order, power = 1, phi
+        while not np.array_equal(power, np.arange(len(phi))):
+            order, power = order + 1, phi[power]
+        assert np.array_equal(perm_power(phi, k), perm_power(phi, k % order)), name
+
+
+def test_hg_data_checks_phi_power_at_arity_a_billion():
+    # phi^(n-1) is taken by squaring, so the conditions cost O(m log n)
+    group = P.derived(P.symmetric_group_3(), 10 ** 9)
+    assert P.verify_nary_group(group).passed and group.hg.arity == 10 ** 9
+
+
 SMALL = {"S3": P.symmetric_group_3(), "D4": P.dihedral_group(4), "Q8": P.quaternion_group()}
 
 

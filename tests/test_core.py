@@ -8,7 +8,7 @@ import pytest
 import oracle
 import polyadic as P
 import polyadic.core as core
-from conftest import A3, binary_catalog
+from conftest import A3, binary_catalog, derived_corpus
 
 
 class TestEval:
@@ -53,6 +53,14 @@ class TestEval:
         table = group.dense()
         assert table is group.dense() and table.flags.writeable and table.flags.c_contiguous
         assert table.shape == (group.order,) * group.arity
+
+    def test_hg_dense_equals_the_fold(self, fixtures, hg_stock_60):
+        for name, group in list(fixtures.items()) + hg_stock_60 + derived_corpus():
+            grid = np.ix_(*[np.arange(group.order)] * group.arity)
+            fold = P.NaryGroup.from_hg(group.hg)(*grid)
+            table = P.NaryGroup.from_hg(group.hg).dense()
+            assert table.dtype == np.int64 and table.flags.writeable, name
+            assert np.array_equal(table, fold), name
 
 
 class TestAboveDenseLimit:
@@ -435,6 +443,30 @@ class TestDifferenceSet:
                 failing += 1
         assert searched * 10 >= failing * 9
 
+    def test_block_rows_agree_with_the_slices(self, monkeypatch):
+        # derived(Q8, 6) has 2^18 cells, compared in 4 blocks of 2^16: changed
+        # cells at the first and last cell of a block, and spread across blocks
+        group = P.derived(P.quaternion_group(), 6)
+        table, data, block = group.dense(), group.hg, 1 << 16
+        assert len(list(core._mismatches((table + 1) % 8, data))) == 4
+        edges = [0, block - 1, block, 2 * block - 1, 3 * block, table.size - 1]
+        cases = [[f] for f in edges] + [[block - 1, block], [5, 6], [0, table.size - 1],
+                                        [block - 1, block, 3 * block], [7, 2 * block + 9, 70000],
+                                        [block - 1, 2 * block - 1, table.size - 1]]
+        rng, reports = np.random.default_rng(5), 0
+        for flat in cases:
+            changed = _mutate(table, [np.unravel_index(f, table.shape) for f in flat], rng)
+            found = [core._difference_set(table.shape, mismatches(changed, data), table.size)
+                     for mismatches in (core._mismatches, oracle.mismatches_by_slices)]
+            assert np.array_equal(*found) and found[0].tolist() == sorted(
+                list(np.unravel_index(f, table.shape)) for f in flat), flat
+            report = core._difference_report(changed, core._certify_dense(changed))
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "_mismatches", oracle.mismatches_by_slices)
+                assert core._difference_report(changed, core._certify_dense(changed)) == report, flat
+            reports += report is not None
+        assert reports > len(cases) // 2   # the rest fall back to the scan on both routes
+
     def test_changed_retract_cell_answered_through_anchor_one(self, s3t):
         table = _mutate(s3t.dense(), [(1, 0, 2)], np.random.default_rng(0))
         mutated = P.NaryGroup(3, 6, table=table)
@@ -617,6 +649,23 @@ class TestConstruction:
         for bad in (-1, -(2 ** 63)):
             with pytest.raises(P.InvalidGroupError, match="indices"):
                 P.NaryGroup(3, 2, table=[0, 1, 1, 0, 1, 0, bad, 1])
+
+    def test_every_cell_range_checked(self, s3t):
+        # m, 256 + v (v as uint8), -1, -256 + v and 2^63 - 1 in each cell; the
+        # certificate reads the twist cell (0bar, ..., 0bar) and anchor 0's phi
+        # line as indices, so those are named first
+        z4 = P.hg_construct(P.HGData(P.cyclic_group(4), np.array([0, 3, 2, 1]), 2, 5))
+        for group in (s3t, z4):
+            table, m, n, abar = group.dense(), group.order, group.arity, group.skew(0)
+            twist_cell = (abar,) * n
+            phi_line = [(abar, x) + (0,) * (n - 2) for x in range(m)]
+            for cell in [twist_cell, *phi_line, *itertools.product(range(m), repeat=n)]:
+                v = int(table[cell])
+                for bad in (m, 256 + v, -1, -256 + v, 2 ** 63 - 1):
+                    changed = table.copy()
+                    changed[cell] = bad
+                    with pytest.raises(P.InvalidGroupError, match="indices"):
+                        P.NaryGroup(n, m, table=changed)
 
     def test_labels_length(self, t2):
         with pytest.raises(P.InvalidGroupError, match="label"):
