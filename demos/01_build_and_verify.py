@@ -56,10 +56,10 @@ print("first failure:", report.first())
 #%%
 # A failing table's witnesses come from the cells where the table leaves its
 # decomposition and equal a full scan's: here 72 tuples and 3 lines, where
-# the scan has 7776.  The scan itself, and deterministic sampling, are kept
-# for tables that search cannot answer within a fixed budget of 10^7 tuples
-# (P.DEFAULT_BUDGET).  No argument, flag or environment variable changes the
-# budget, so the report depends on the table alone.
+# the scan has 7776.  Where that search cannot answer, the scans run up to
+# 10^7 tuples, and past them the report is the certificate's first failed
+# step.  No report rests on a sample, and no argument, flag or environment
+# variable changes one, so the report depends on the table alone.
 
 table = S3T.dense().copy()
 table[1, 2, 3] = (table[1, 2, 3] + 1) % 6

@@ -16,7 +16,7 @@ from .errors import (
     PolyadicError,
     SizeLimitError,
 )
-from .report import VerificationReport, DEFAULT_BUDGET, SAMPLE_SEED
+from .report import VerificationReport
 from .binary import (
     BinaryGroup,
     HGData,
@@ -35,8 +35,6 @@ from .binary import (
 )
 from .core import (
     NaryGroup,
-    has_nary_identity,
-    is_medial,
     is_nary_identity,
     is_semiabelian,
     retract_table,

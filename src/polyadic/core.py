@@ -14,16 +14,21 @@ equals ``x1 phi(x2) ... phi^(n-1)(xn) b`` for a valid decomposition, which
 costs O(n m^n + m^3) to check, so passing verdicts are never sampled.  The
 table is compared in block rows with the block product ``right[left]`` of
 :func:`_hg_blocks`; one equal to it holds only element indices, so entries
-are range-checked only once the certificate fails, before any report.  A rejected table gets the lexicographically first witness of each
-violated axiom, (i,j)-associativity for all argument pairs and unique
-solvability at every place, as the exhaustive scan would report it.  The
-witnesses are searched for among the tuples and lines that read the
-difference set, the cells where the table leaves a valid decomposition; only
-when that search cannot run within the fixed tuple budget ``DEFAULT_BUDGET``
-do :func:`verify_associativity` and :func:`verify_quasigroup` scan,
-exhaustively within the budget and by deterministic sampling above it.  No
-argument, flag or environment variable changes the budget, so a verdict and
-its witnesses depend on the table alone.
+are range-checked only once the certificate fails, before any report.
+
+A rejected table gets an exact report, never a sample.  Mostly it is the
+exhaustive scan's: the lexicographically first witness of each violated
+axiom, (i,j)-associativity for all argument pairs and unique solvability at
+every place, searched for among the tuples and lines that read the
+difference set, the cells where the table leaves a valid decomposition.
+When that search does not answer, :func:`verify_associativity` and
+:func:`verify_quasigroup` scan every tuple while the m^(2n-1) tuples stay
+within ``_SCAN_TUPLES``.  Above that the report is the certificate's: the
+scan's first failing line at each place, or, when every line is a
+permutation, the first step of the certificate that fails at anchor 0
+(:func:`_certificate_failure`).  No argument, flag or environment variable
+changes any of this, so a verdict and its witnesses depend on the table
+alone.
 """
 
 from __future__ import annotations
@@ -35,11 +40,12 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .binary import BinaryGroup, HGData, read_only, verify_binary_table
+from .binary import BinaryGroup, HGData, perm_power, read_only, verify_binary_table
 from .errors import InvalidGroupError, SizeLimitError
-from .report import DEFAULT_BUDGET, SAMPLE_COUNT, VerificationReport, sample_tuples
+from .report import VerificationReport
 
 DENSE_LIMIT = 1 << 24
+_SCAN_TUPLES = 10 ** 7   # the associativity scan's reach, and the difference search's cap
 _CHUNK_CELLS = 1 << 21
 _BLOCK_CELLS, _COMPARE_CELLS = 1 << 12, 1 << 16   # the certificate's right block and compare step
 _FIRST_ROWS, _MAX_ROWS = 256, 1 << 16   # chunk sizes of the difference-set search
@@ -289,48 +295,35 @@ def verify_associativity(group: NaryGroup) -> VerificationReport:
     """Check (i,j)-associativity for all 1 <= i < j <= n over all (2n-1)-tuples.
 
     The scan of every tuple, and the reference for the failure reports of
-    :func:`verify_nary_group`, which runs it only when its difference-set
-    search cannot answer within ``DEFAULT_BUDGET``.  Within the budget the
-    scan is exhaustive, chunked over the first variable in increasing order,
-    so the first witness of an axiom is its lexicographically lowest; above
-    it a fixed-seed sample is used and the report is flagged.
+    :func:`verify_nary_group`, which runs it when its difference-set search
+    does not answer.  The scan is chunked over the first variable in
+    increasing order, so the first witness of an axiom is its
+    lexicographically lowest.  Above ``_SCAN_TUPLES`` tuples it raises
+    :class:`SizeLimitError`; the verdict there is :func:`verify_nary_group`'s.
     """
     m, n, rejected = group.order, group.arity, group._rejected
-    total = m ** (2 * n - 1)
-    if total <= DEFAULT_BUDGET and m ** n <= DENSE_LIMIT:
-        table = group.dense() if rejected is None else rejected   # the scan reads every cell
-        chunk_len = max(1, _CHUNK_CELLS // max(1, m ** (2 * n - 2)))
-        found = {}
-        for lo in range(0, m, chunk_len):
-            hi = min(lo + chunk_len, m)
-            folds = {i: _fold_chunk(table, n, i, lo, hi) for i in range(1, n + 1)}
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    axiom = f"associativity(i={i},j={j})"
-                    if axiom in found:
-                        continue
-                    bad = np.argwhere(folds[i] != folds[j])
-                    if bad.size:
-                        w = bad[0]
-                        found[axiom] = (int(w[0]) + lo,) + tuple(int(v) for v in w[1:])
-        if found:
-            return VerificationReport.fail(sorted(found.items()), checked=total)
-        return VerificationReport.ok(checked=total)
-
-    xs = sample_tuples(SAMPLE_COUNT, 2 * n - 1, m)
-    ev = group if rejected is None else _gather(rejected)
-    folds = {i: _fold_at(ev, i, xs) for i in range(1, n + 1)}
-    failures = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            bad = np.nonzero(folds[i] != folds[j])[0]
-            if bad.size:
-                rows = xs[bad]
-                k = np.lexsort(rows.T[::-1])[0]
-                failures[f"associativity(i={i},j={j})"] = tuple(int(v) for v in rows[k])
-    if failures:
-        return VerificationReport.fail(sorted(failures.items()), checked=len(xs), sampled=True)
-    return VerificationReport.ok(checked=len(xs), sampled=True)
+    total = m ** (2 * n - 1) if m == 1 or n <= 12 else None   # 2^25 > 10^7: no power of 25+ axes
+    if total is None or total > _SCAN_TUPLES:
+        raise SizeLimitError(f"the associativity scan is limited to {_SCAN_TUPLES} tuples; "
+                             "verify_nary_group decides the axioms at every size")
+    table = group.dense() if rejected is None else rejected   # the scan reads every cell
+    chunk_len = max(1, _CHUNK_CELLS // max(1, m ** (2 * n - 2)))
+    found = {}
+    for lo in range(0, m, chunk_len):
+        hi = min(lo + chunk_len, m)
+        folds = {i: _fold_chunk(table, n, i, lo, hi) for i in range(1, n + 1)}
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                axiom = f"associativity(i={i},j={j})"
+                if axiom in found:
+                    continue
+                bad = np.argwhere(folds[i] != folds[j])
+                if bad.size:
+                    w = bad[0]
+                    found[axiom] = (int(w[0]) + lo,) + tuple(int(v) for v in w[1:])
+    if found:
+        return VerificationReport.fail(sorted(found.items()), checked=total)
+    return VerificationReport.ok(checked=total)
 
 
 # -- solvability ----------------------------------------------------------------
@@ -338,39 +331,30 @@ def verify_associativity(group: NaryGroup) -> VerificationReport:
 def verify_quasigroup(group: NaryGroup) -> VerificationReport:
     """At each place i, with the other arguments fixed, z -> f(...z...) must permute.
 
-    Exhaustive while m^n is within ``DEFAULT_BUDGET``, sampled above it.
+    Exhaustive at every size :meth:`NaryGroup.dense` allows.  Each place's
+    lines are sorted about ``_CHUNK_CELLS`` cells at a time, in lexicographic
+    order of the fixed arguments, up to the first chunk holding a line that is
+    no permutation; its first such line is the place's witness.
     """
     m, n, rejected = group.order, group.arity, group._rejected
-    want = np.arange(m)
-    if m ** n <= min(DEFAULT_BUDGET, DENSE_LIMIT):
-        table = group.dense() if rejected is None else rejected   # the scan reads every line
-        failures = []
-        for place in range(n):
-            rows = np.moveaxis(table, place, -1).reshape(-1, m)
-            ok = (np.sort(rows, axis=1) == want).all(axis=1)
-            bad = np.nonzero(~ok)[0]
-            if bad.size:
-                fixed = np.unravel_index(int(bad[0]), (m,) * (n - 1))
-                failures.append((f"solvability(place={place + 1})", tuple(int(v) for v in fixed)))
-        checked = n * m ** n
-        if failures:
-            return VerificationReport.fail(failures, checked=checked)
-        return VerificationReport.ok(checked=checked)
-
-    count = max(1, SAMPLE_COUNT // m)
-    fixings = sample_tuples(count, n - 1, m)
+    if not within_dense_limit(m, n):   # refused before dense() multiplies out n axes
+        raise SizeLimitError(f"the solvability scan reads the m^n table, limited to {DENSE_LIMIT}")
+    table = group.dense() if rejected is None else rejected   # the scan reads every line
+    want, step = np.arange(m), max(1, _CHUNK_CELLS // m ** (n - 1))
     failures = []
     for place in range(n):
-        args = [fixings[:, k, None] for k in range(n - 1)]
-        args.insert(place, want)
-        vals = (group if rejected is None else _gather(rejected))(*args)   # one line per fixing
-        ok = (np.sort(vals, axis=1) == want).all(axis=1)
-        bad = np.nonzero(~ok)[0]
-        if bad.size:
-            failures.append((f"solvability(place={place + 1})", tuple(int(v) for v in fixings[bad[0]])))
+        lines = np.moveaxis(table, place, -1)
+        for lo in range(0, m, step):
+            rows = lines[lo:lo + step].reshape(-1, m)
+            bad = np.flatnonzero((np.sort(rows, axis=1) != want).any(axis=1))
+            if bad.size:
+                fixed = np.unravel_index(lo * m ** (n - 2) + int(bad[0]), (m,) * (n - 1))
+                failures.append((f"solvability(place={place + 1})", fixed))
+                break
+    checked = n * m ** n
     if failures:
-        return VerificationReport.fail(failures, checked=n * count, sampled=True)
-    return VerificationReport.ok(checked=n * count, sampled=True)
+        return VerificationReport.fail(failures, checked=checked)
+    return VerificationReport.ok(checked=checked)
 
 
 # -- the Hosszú–Gluskin certificate -------------------------------------------------
@@ -502,15 +486,15 @@ def _difference_report(table: np.ndarray, rejection: _Rejection) -> Verification
     D are lines of G, hence permutations, so the first failing line through D
     at each place is the scan's solvability witness.
 
-    Every evaluated tuple, and m per line, is charged to ``DEFAULT_BUDGET``,
+    Every evaluated tuple, and m per line, is charged to ``_SCAN_TUPLES``,
     capped at the m^(2n-1) tuples of the scan the search stands in for.
     Since each of the 2n |D| families may cost its first chunk, D may hold at most
     cap / (2n * first chunk) cells.  Returns None when no anchor decomposes, D
     is empty or larger than that, or the search would exceed the cap; the
-    caller then falls back to the scan.
+    caller then falls back to :func:`_witness_report`.
     """
     m, n = table.shape[0], table.ndim
-    cap = min(DEFAULT_BUDGET, m ** (2 * n - 1))
+    cap = min(_SCAN_TUPLES, m ** (2 * n - 1))
     limit = cap // (2 * n * min(_FIRST_ROWS, m ** (n - 1)))
     data, flats = rejection.data, rejection.flats   # compared up to the mismatch's block
     if data is None:
@@ -589,24 +573,53 @@ def _difference_report(table: np.ndarray, rejection: _Rejection) -> Verification
     return VerificationReport.fail(failures, checked=m ** (2 * n - 1) + n * m ** n)
 
 
-def _suspect_lines(m: int, n: int, rejection: _Rejection) -> list[tuple[int, tuple[int, ...]]]:
-    """Lines (place, other arguments) that a single changed cell breaks.
+def _certificate_failure(table: np.ndarray, rejection: _Rejection
+                         ) -> tuple[tuple[str, tuple[int, ...]], int]:
+    """The first certificate step that fails at anchor 0, as one failure, and the cells read.
 
-    A changed cell off the certificate's inputs is the first cell where the
-    table and the rebuild differ; one on them lies in the twist element's
-    cell, the line phi was read from, or a row or column of the retract.
-    Either way a line through it is no longer a permutation.
+    Every line of ``table`` must be a permutation, so abar = skew(0) is
+    unique and the retract x.y = f(x, 0^(n-2), y) is a Latin square, a group
+    iff associative.  The steps in order:
+
+    - the retract fails associativity first at (x, y, z): then
+      (x, 0^(n-2), y, 0^(n-2), z) breaks (1,n), fold 1 being (x.y).z and
+      fold n x.(y.z);
+    - phi(x) = f(abar, x, 0^(n-2)) is no automorphism, first at (x, y): then
+      T1 = (abar, x, 0^(n-2), y, 0^(n-2)) breaks (1,2) or
+      T2 = (phi(x), 0^(n-2), abar, y, 0^(n-2)) breaks (1,n).  Proof: 0.abar =
+      f(0^(n-1), abar) = 0, so abar is the identity of the group, and fold 1
+      of both is f(phi(x), y, 0^(n-2)); fold 2 of T1 is phi(x.y) and fold n
+      of T2 is phi(x).phi(y), which differ, so one differs from fold 1;
+    - else ``hosszu-gluskin(phi-fixes-b)`` at (b,) for b = f(abar^n),
+      ``hosszu-gluskin(phi-power)`` at the first x with phi^(n-1)(x) !=
+      b.x.b^-1, or ``hosszu-gluskin(rebuild)`` at the certificate's first
+      differing cell, when the difference set is past the search's cap.
+
+    The cells read, up to the failing step: m^3 for the retract's group
+    check, m^2 for phi's, m + 1 for the conditions on b, m^n for the rebuild.
     """
-    abar, zeros = rejection.abar, (0,) * (n - 2)
-    cells = [] if rejection.mismatch is None else [rejection.mismatch]
-    phi_line = []
-    if abar is not None:
-        cells.append((abar,) * n)
-        phi_line.append((1, (abar,) + zeros))
-    lines = [(p, c[:p] + c[p + 1:]) for c in cells for p in range(n)] + phi_line
-    lines += [(n - 1, (x,) + zeros) for x in range(m)]
-    lines += [(0, zeros + (y,)) for y in range(m)]
-    return lines
+    m, n = table.shape[0], table.ndim
+    zeros, abar = (0,) * (n - 2), rejection.abar
+    ret = table[(slice(None),) + zeros + (slice(None),)]
+    retract, read = verify_binary_table(ret), m ** 3
+    if not retract.passed:
+        x, y, z = dict(retract.failures)["associativity"]
+        return (f"associativity(i=1,j={n})", (x, *zeros, y, *zeros, z)), read
+    phi, read = table[(abar, slice(None)) + zeros], read + m * m
+    bad = np.argwhere(phi[ret] != ret[phi[:, None], phi])
+    if bad.size:
+        x, y = bad[0].tolist()
+        if table[(phi[x], y) + zeros] != phi[ret[x, y]]:   # fold 1 and fold 2 of T1
+            return ("associativity(i=1,j=2)", (abar, x, *zeros, y, *zeros)), read
+        return (f"associativity(i=1,j={n})", (phi[x], *zeros, abar, y, *zeros)), read
+    b, read = int(table[(abar,) * n]), read + m + 1
+    if phi[b] != b:
+        return ("hosszu-gluskin(phi-fixes-b)", (b,)), read
+    conjugation = ret[ret[b], np.flatnonzero(ret[b] == abar)[0]]
+    bad = np.flatnonzero(perm_power(phi, n - 1) != conjugation)
+    if bad.size:
+        return ("hosszu-gluskin(phi-power)", (bad[0],)), read
+    return ("hosszu-gluskin(rebuild)", rejection.mismatch), read + m ** n
 
 
 def verify_nary_group(group: NaryGroup) -> VerificationReport:
@@ -615,34 +628,31 @@ def verify_nary_group(group: NaryGroup) -> VerificationReport:
     A passing table's report is the Hosszú–Gluskin certificate's
     (``method="certificate"``, ``checked`` = m^n cells + m^3 retract cells; m^3
     for an hg group, whose base is checked once or its report reused).  A
-    rejected table's is the exhaustive scan's: the first witness of each violated
-    axiom, associativity by name then solvability by place (``method="scan"``,
-    ``checked`` = m^(2n-1) + n m^n), found from the difference set (see
-    :func:`_difference_report`) within ``DEFAULT_BUDGET``, else by
-    :func:`verify_associativity` and :func:`verify_quasigroup`, sampled above
-    the budget.  Where none is found the constructor raises
-    :class:`SizeLimitError` (sampled) or :class:`RuntimeError` (exhaustive).
+    rejected table's is exact: the exhaustive scan's (``method="scan"``,
+    ``checked`` = m^(2n-1) + n m^n), the first witness of each violated
+    axiom, associativity by name then solvability by place, found from the
+    difference set (:func:`_difference_report`) or by the scans within
+    ``_SCAN_TUPLES``; past them, the certificate's (``method="certificate"``),
+    the first failing line at each place, else the first failing step at
+    anchor 0 (:func:`_certificate_failure`).  Only a scan that contradicts the
+    certificate raises (:class:`RuntimeError`).
     """
     return group.report
 
 
 def _witness_report(group: NaryGroup, rejection: _Rejection) -> VerificationReport:
-    """Failure report for a table the certificate rejected."""
+    """Failure report for a rejected table that the difference-set search does not answer."""
     m, n = group.order, group.arity
-    report = verify_associativity(group).merge(verify_quasigroup(group))
-    if not report.passed:
+    if m ** (2 * n - 1) <= _SCAN_TUPLES:
+        report = verify_associativity(group).merge(verify_quasigroup(group))
+        if report.passed:
+            raise RuntimeError("certificate rejected a table the exhaustive scan accepts")
         return report
-    if not report.sampled:
-        raise RuntimeError("certificate rejected a table the exhaustive scan accepts")
-    table, want = group._rejected, np.arange(m)
-    for count, (place, fixed) in enumerate(_suspect_lines(m, n, rejection), start=1):
-        if not np.array_equal(np.sort(np.moveaxis(table, place, -1)[fixed]), want):
-            return VerificationReport.fail([(f"solvability(place={place + 1})", fixed)],
-                                           checked=report.checked + count * m, sampled=True)
-    raise SizeLimitError(
-        "not an n-ary group (the Hosszú–Gluskin certificate rejects it), but no "
-        f"witness was found within the budget of {DEFAULT_BUDGET} tuples"
-    )
+    lines = verify_quasigroup(group)
+    if not lines.passed:
+        return VerificationReport.certificate(lines.failures, checked=lines.checked)
+    failure, read = _certificate_failure(group._rejected, rejection)
+    return VerificationReport.certificate([failure], checked=lines.checked + read)
 
 
 # -- homomorphism certificate -------------------------------------------------------
@@ -701,14 +711,6 @@ def is_nary_identity(group: NaryGroup, e: int) -> bool:
                for i in range(n))
 
 
-def has_nary_identity(group: NaryGroup) -> int | None:
-    """Smallest element acting as an identity at every position, if any."""
-    for e in range(group.order):
-        if is_nary_identity(group, e):
-            return e
-    return None
-
-
 def is_semiabelian(group: NaryGroup) -> bool:
     """Does swapping the first and last arguments never change the value?
 
@@ -716,18 +718,10 @@ def is_semiabelian(group: NaryGroup) -> bool:
     that retract is abelian.  Forward, put x2..x(n-1) = a in the swap law to
     get x.y = y.x.  Conversely, in an abelian retract phi^(n-1), conjugation by
     b, is the identity, so the Hosszú–Gluskin form gives
-    x1 P phi^(n-1)(xn) b = xn P phi^(n-1)(x1) b.  The group must verify.
+    x1 P phi^(n-1)(xn) b = xn P phi^(n-1)(x1) b.  For n-ary groups this is
+    also the medial law (Głazek and Gleichgewicht 1982, "Abelian n-groups").
+    The group must verify.
     """
     table = retract_table(group, 0)
     return bool(np.array_equal(table, table.T))
 
-
-def is_medial(group: NaryGroup) -> bool:
-    """Does the medial law hold: composing an n x n grid by rows, then
-    columns, equals composing it by columns, then rows?
-
-    For n-ary groups medial is equivalent to semiabelian (Głazek and
-    Gleichgewicht 1982, "Abelian n-groups"), so this is
-    :func:`is_semiabelian`.
-    """
-    return is_semiabelian(group)

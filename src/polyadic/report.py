@@ -1,39 +1,42 @@
-"""Verification reports and the fixed tuple budget.
+"""Verification reports.
 
 Every axiom checker returns a :class:`VerificationReport` instead of raising,
 so that mutated or otherwise broken tables are first-class inputs.  A report
-says how it was reached (``method``):
+says how it was reached (``method``), and no report rests on a sample:
 
 - ``certificate``: an exact verdict that rests on a theorem instead of a scan
-  of every tuple, never sampled: the Hosszú–Gluskin certificate of
+  of every tuple: the Hosszú–Gluskin certificate of
   :func:`polyadic.core.verify_nary_group`, and the homomorphism certificate
   of :func:`polyadic.rep.verify_representation`,
   :func:`polyadic.cover.verify_embedding` and
   :func:`polyadic.action.verify_action`.  A certificate can also reject;
   its witness is then a genuine failing tuple, but it need not be the
-  lexicographically first one;
-- ``scan``: an exhaustive scan of every tuple;
-- ``sampled-scan``: a fixed-seed pseudo-random sample.  It arises only in
-  the fallback of :func:`polyadic.core.verify_nary_group`'s failure-witness
-  search, when the scan's tuple count exceeds ``DEFAULT_BUDGET`` (10^7
-  tuples).  ``sampled`` is true exactly for these reports.  The budget is a
-  constant: no argument, flag or environment variable changes it, so a
-  report depends on its input alone.
+  lexicographically first one.  A rejected dense table that neither the
+  difference-set search nor the scans answer gets such a report: the first
+  line at each place that is no permutation (``solvability(place=i)``, the
+  scan's own witnesses), else the first certificate step that fails at
+  anchor 0, as an ``associativity(i=..,j=..)`` witness of the table or as a
+  ``hosszu-gluskin(<condition>)`` failure, witnessed by the argument where
+  the named condition fails;
+- ``scan``: an exhaustive scan of every tuple.
 
 A scan carries the first witness found for each violated axiom, scanning in
 lexicographic tuple order so results are deterministic.  ``checked`` counts
 the tuples (or cells) a report rests on:
 
 - for the Hosszú–Gluskin certificate, the table cells compared with the
-  rebuilt table plus the m^3 cells of the retract's group check;
+  rebuilt table plus the m^3 cells of the retract's group check.  When it
+  rejects a table, the n m^n cells of the lines, plus, if every line is a
+  permutation, the cells of the steps up to the failing one: m^3 for the
+  retract's group check, m^2 for phi's automorphism check, m + 1 for the
+  conditions on b and m^n for the rebuild;
 - for the homomorphism certificate, its m^2 + m + 1 n-tuples, times the
   number of points for an action;
 - for a ``scan``, every tuple the verdict covers, m^(2n-1) for associativity
   plus n m^n for solvability.  A failure report that
   :func:`polyadic.core.verify_nary_group` finds through the difference set
   evaluates far fewer, but it covers them all, so it is equal to the
-  exhaustive scan's report, ``checked`` included;
-- for a ``sampled-scan``, the sampled tuples.
+  exhaustive scan's report, ``checked`` included.
 """
 
 from __future__ import annotations
@@ -41,18 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-DEFAULT_BUDGET = 10_000_000
-SAMPLE_SEED = 0xC0FFEE
-SAMPLE_COUNT = 100_000
-METHODS = ("certificate", "scan", "sampled-scan")
-
-
-def sample_tuples(count: int, width: int, high: int) -> np.ndarray:
-    """Deterministic (count, width) matrix of indices below ``high``."""
-    rng = np.random.default_rng(SAMPLE_SEED)
-    return rng.integers(0, high, size=(count, width), dtype=np.int64)
+METHODS = ("certificate", "scan")
 
 
 class Failure(NamedTuple):
@@ -77,15 +69,16 @@ class VerificationReport:
 
     @property
     def sampled(self) -> bool:
-        return self.method == "sampled-scan"
+        """Always False: no report rests on a sample; kept for readers of ``to_dict``'s key."""
+        return False
 
     @classmethod
-    def ok(cls, checked: int = 0, sampled: bool = False) -> "VerificationReport":
-        return cls(True, (), _scan_method(sampled), checked)
+    def ok(cls, checked: int = 0) -> "VerificationReport":
+        return cls(True, (), "scan", checked)
 
     @classmethod
-    def fail(cls, failures, checked: int = 0, sampled: bool = False) -> "VerificationReport":
-        return cls(False, _failures(failures), _scan_method(sampled), checked)
+    def fail(cls, failures, checked: int = 0) -> "VerificationReport":
+        return cls(False, _failures(failures), "scan", checked)
 
     @classmethod
     def certificate(cls, failures=(), checked: int = 0) -> "VerificationReport":
@@ -120,6 +113,3 @@ class VerificationReport:
 def _failures(failures) -> tuple[Failure, ...]:
     return tuple(Failure(str(a), tuple(int(x) for x in w)) for a, w in failures)
 
-
-def _scan_method(sampled: bool) -> str:
-    return "sampled-scan" if sampled else "scan"

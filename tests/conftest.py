@@ -120,11 +120,11 @@ def large_corpus():
             ("D8xZ4xZ2/n=3", P.derived(d8_z4(P.cyclic_group(2)), 3))]
 
 
-def random_hg_stock(count=20, seed=P.SAMPLE_SEED):
+def random_hg_stock(count=20, seed=0xC0FFEE):
     """Deterministic stock of decomposition-built n-ary groups.
 
-    Sizes are drawn so the full associativity scan stays under the default
-    budget (n = 5 caps the order at 5), keeping every check exhaustive.
+    Sizes are drawn so the full associativity scan stays within its
+    10^7 tuples (n = 5 caps the order at 5), keeping every check exhaustive.
     """
     from polyadic.binary import automorphisms, perm_power
 

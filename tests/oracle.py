@@ -51,6 +51,11 @@ restricted to the carrier.
 once checked its trace against.
 ``mismatches_by_slices`` is the certificate's compare before block rows: the
 rebuilt table one slice x1 at a time.
+``binary_report_by_cube`` is ``verify_binary_table`` before it stopped at its
+first failure, with two m^3 cubes; ``solvability_lines`` walks every line of
+a table one at a time; ``hosszu_gluskin_breaks`` re-reads a failed
+certificate step from the anchor-0 cells; and ``has_nary_identity`` searches
+every element for an identity at every position.
 """
 
 import itertools
@@ -87,10 +92,53 @@ def skew_identity_failures(group):
 
 
 def exhaustive_scan(group):
-    """The associativity + solvability scan over every tuple; the group must fit the budget."""
-    scan = P.verify_associativity(group).merge(P.verify_quasigroup(group))
-    assert not scan.sampled
-    return scan
+    """The associativity + solvability scan over every tuple, within the scan's 10^7 tuples."""
+    return P.verify_associativity(group).merge(P.verify_quasigroup(group))
+
+
+def solvability_lines(table):
+    """The first line at each place that is no permutation, one line at a time in lexicographic order."""
+    m, n = table.shape[0], table.ndim
+    failures = []
+    for place in range(n):
+        lines = np.moveaxis(table, place, -1)
+        for fixed in np.ndindex(lines.shape[:-1]):
+            if sorted(lines[fixed].tolist()) != list(range(m)):
+                failures.append((f"solvability(place={place + 1})", fixed))
+                break
+    return failures
+
+
+def binary_report_by_cube(table):
+    """``verify_binary_table`` before its chunked first-failure search: two m^3 cubes compared."""
+    table = np.asarray(table)
+    m = len(table) if table.ndim else 0
+    if not m or table.shape != (m, m) or table.min() < 0 or table.max() >= m:
+        return P.VerificationReport.fail([("table-shape", ())])
+    failures = []
+    r = np.arange(m)
+    hits = np.flatnonzero((table == r).all(1) & (table.T == r).all(1))
+    if not hits.size:
+        failures.append(("identity-missing", ()))
+    else:
+        for x in range(m):
+            if not np.any(table[x] == hits[0]):
+                failures.append((f"inverse-missing(x={x})", (x,)))
+                break
+    bad = np.argwhere(table[table, :] != table[:, table])
+    if bad.size:
+        failures.append(("associativity", tuple(bad[0])))
+    if failures:
+        return P.VerificationReport.fail(failures, checked=m ** 3)
+    return P.VerificationReport.ok(checked=m ** 3)
+
+
+def has_nary_identity(group):
+    """Smallest element acting as an identity at every position, if any."""
+    for e in range(group.order):
+        if P.is_nary_identity(group, e):
+            return e
+    return None
 
 
 def scan_verdict(group):
@@ -222,7 +270,7 @@ def commutators_by_loops(group):
 
 
 def witness_breaks(table, axiom, witness):
-    """Does ``witness`` violate the associativity or solvability ``axiom``?"""
+    """Does ``witness`` violate the associativity, solvability or ``hosszu-gluskin`` ``axiom``?"""
     m, n = table.shape[0], table.ndim
     w = tuple(int(v) for v in witness)
 
@@ -237,6 +285,52 @@ def witness_breaks(table, axiom, witness):
     if hit:
         row = np.moveaxis(table, int(hit[1]) - 1, -1)[w]
         return len(w) == n - 1 and not np.array_equal(np.sort(row), np.arange(m))
+    return hosszu_gluskin_breaks(table, axiom, w)
+
+
+def hosszu_gluskin_breaks(table, axiom, witness):
+    """Does ``witness`` break the condition of a ``hosszu-gluskin(...)`` ``axiom``?
+
+    Re-reads anchor 0 one cell at a time: abar, the unique z with
+    f(0^(n-1), z) = 0; the retract x.y = f(x, 0^(n-2), y); phi(x) =
+    f(abar, x, 0^(n-2)); b = f(abar^n).  In an n-ary group abar is the
+    retract's identity, phi fixes b, phi^(n-1) is conjugation by b and the
+    table is x1.phi(x2)...phi^(n-1)(xn).b, so each failure proves the table
+    is none.
+    """
+    m, n = table.shape[0], table.ndim
+    w, zeros = tuple(int(v) for v in witness), (0,) * (n - 2)
+
+    def f(*xs):
+        return int(table[xs])
+
+    abars = [z for z in range(m) if f(*(0,) * (n - 1), z) == 0]
+    if len(abars) != 1 or any(v < 0 or v >= m for v in w):
+        return False
+    abar = abars[0]
+    b = f(*(abar,) * n)
+
+    def mul(x, y):
+        return f(x, *zeros, y)
+
+    def phi(x, times=1):
+        for _ in range(times):
+            x = f(abar, x, *zeros)
+        return x
+
+    if axiom == "hosszu-gluskin(phi-fixes-b)":
+        return w == (b,) and phi(b) != b
+    if axiom == "hosszu-gluskin(phi-power)":
+        inverses = [z for z in range(m) if mul(b, z) == abar]
+        return (len(w) == 1 and len(inverses) == 1
+                and phi(w[0], n - 1) != mul(mul(b, w[0]), inverses[0]))
+    if axiom == "hosszu-gluskin(rebuild)":
+        if len(w) != n:
+            return False
+        acc = w[0]
+        for k in range(1, n):
+            acc = mul(acc, phi(w[k], k))
+        return f(*w) != mul(acc, b)
     return False
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import oracle
 import polyadic as P
+import polyadic.binary
 from polyadic.binary import commutator_subgroup, coset_partition, linear_characters, perm_power
 from conftest import binary_catalog
 
@@ -14,6 +15,29 @@ def test_verify_binary_table_rejects_non_group():
     assert not report.passed
     bad = np.array([[0, 1], [1, 1]])
     assert not P.verify_binary_table(bad).passed
+
+
+def test_first_failure_search_equals_the_cube(monkeypatch):
+    # the catalog, every one-cell mutation of S3, D4 and Q8, and orders 8 to 128:
+    # random tables, loops (Z_m with one intercalate swapped) and cyclic groups;
+    # in chunks of the default size, and of one row each
+    tables = [group.table for group in binary_catalog().values()]
+    for base in (P.symmetric_group_3(), P.dihedral_group(4), P.quaternion_group()):
+        m = base.order
+        for cell in np.ndindex(base.table.shape):
+            for shift in range(1, m):
+                changed = base.table.copy()
+                changed[cell] = (changed[cell] + shift) % m
+                tables.append(changed)
+    rng = np.random.default_rng(6)
+    for m in (8, 16, 32, 64, 128):
+        loop, h = P.cyclic_group(m).table.copy(), m // 2
+        loop[1, 1], loop[1 + h, 1 + h], loop[1, 1 + h], loop[1 + h, 1] = 2 + h, 2 + h, 2, 2
+        tables += [rng.integers(0, m, size=(m, m)), loop, P.cyclic_group(m).table]
+    want = [oracle.binary_report_by_cube(table) for table in tables]
+    assert [P.verify_binary_table(table) for table in tables] == want
+    monkeypatch.setattr(polyadic.binary, "_ASSOC_CELLS", 1)
+    assert [P.verify_binary_table(table) for table in tables] == want
 
 
 def test_unchecked_table_without_identity_rejected():

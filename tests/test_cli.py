@@ -253,8 +253,8 @@ class TestEmittedGroups:
 
 
 class TestBudgetEnv:
-    # The tuple budget is a constant: neither the environment nor a flag
-    # changes a verdict or its witnesses.
+    # No budget exists: neither the environment nor a flag changes a verdict
+    # or its witnesses.
     def test_env_budget_ignored(self, capsys, files, mutated_s3t, monkeypatch):
         paths = [mutated_s3t] + list(files.values())
         want = [run(capsys, "verify", path) for path in paths]

@@ -1,6 +1,7 @@
 """Operation evaluation and the n-ary group axiom checkers."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -147,10 +148,18 @@ class TestAssociativity:
         assert axiom.startswith("associativity(")
         assert len(witness) == 5
 
-    def test_sampled_above_budget(self, s3t, monkeypatch):
-        monkeypatch.setattr(core, "DEFAULT_BUDGET", 100)
-        report = P.verify_associativity(s3t)
-        assert report.passed and report.sampled
+    def test_refused_above_the_scan_size(self, s3t, monkeypatch):
+        monkeypatch.setattr(core, "_SCAN_TUPLES", 100)
+        with pytest.raises(P.SizeLimitError, match="verify_nary_group"):
+            P.verify_associativity(s3t)
+        assert P.verify_quasigroup(s3t).passed   # exhaustive at every dense size
+
+    def test_refused_at_huge_arity_without_the_tuple_count(self):
+        # 6^(2n-1) at n = 10^9 would be a 5 * 10^9-bit integer
+        group = P.derived(P.symmetric_group_3(), 10 ** 9)
+        for scan in (P.verify_associativity, P.verify_quasigroup):
+            with pytest.raises(P.SizeLimitError):
+                scan(group)
 
 
 class TestQuasigroup:
@@ -228,29 +237,6 @@ class TestCertificate:
                     assert report == scan, (name, cell)
                 tables += 1
         assert tables == 1304
-
-    def test_sampled_scan_miss_is_caught(self, s3t, monkeypatch):
-        monkeypatch.setattr(core, "DEFAULT_BUDGET", 10)
-        table = s3t.dense().copy()
-        table[1, 2, 3] = (table[1, 2, 3] + 1) % 6
-        broken = P.NaryGroup(3, 6, table=table)
-        report = P.verify_nary_group(broken)
-        assert not report.passed and report.method == "sampled-scan"
-        assert oracle.witness_breaks(table, *report.first())
-
-    def test_single_changed_cell_found_when_the_sample_misses(self, s3t, monkeypatch):
-        # With a one-tuple sample nearly every changed cell escapes the scan;
-        # the lines through the cells the certificate flags must still show it.
-        monkeypatch.setattr(core, "SAMPLE_COUNT", 1)
-        monkeypatch.setattr(core, "DEFAULT_BUDGET", 10)
-        missed = 0
-        for cell, table, mutated in oracle.single_cell_mutations(s3t):
-            scan = P.verify_associativity(mutated).merge(P.verify_quasigroup(mutated))
-            missed += scan.passed
-            report = P.verify_nary_group(mutated)
-            assert not report.passed and report.sampled, cell
-            assert oracle.witness_breaks(table, *report.first()), cell
-        assert missed > 900
 
     def test_exhaustive_scan_contradicting_the_certificate_raises(self, t2, monkeypatch):
         monkeypatch.setattr(core, "_certify_dense", lambda table: core._Rejection(None, None))
@@ -370,13 +356,13 @@ class TestVerdictOnConstruction:
             assert group.report.passed and np.array_equal(group._table, want)
             assert group.dense() is group._table and group(1, 2, 3) == want[1, 2, 3]
 
-    def test_verified_group_above_the_dense_limit_gets_sampled_scans(self, monkeypatch):
-        # 32^6 cells: the scans evaluate their samples, never the m^n table
+    def test_verified_group_above_the_dense_limit_refuses_scans(self):
+        # 32^6 cells: both scans refuse before they build the m^n table
         g = P.derived(P.direct_product(P.dihedral_group(8), P.cyclic_group(4)), 6)
-        monkeypatch.setattr(P.NaryGroup, "dense", lambda self: pytest.fail("dense() called"))
-        for report in (P.verify_associativity(g), P.verify_quasigroup(g)):
-            assert report.passed and report.sampled
-        assert g._table is None
+        for scan in (P.verify_associativity, P.verify_quasigroup):
+            with pytest.raises(P.SizeLimitError):
+                scan(g)
+        assert g._table is None and P.verify_nary_group(g).passed
 
 
 class TestReadOnly:
@@ -480,11 +466,11 @@ class TestDifferenceSet:
         table = _mutate(s3t.dense(), [(2, 4, 3)], np.random.default_rng(1))
         mutated = P.NaryGroup(3, 6, table=table)
         want = oracle.exhaustive_scan(mutated).to_dict()
-        monkeypatch.setattr(core, "DEFAULT_BUDGET", 1000)
-        assert P.verify_associativity(mutated).sampled
-        report = P.verify_nary_group(mutated)
-        assert report.method == "scan" and not report.sampled
-        assert report.to_dict() == want
+        monkeypatch.setattr(core, "_SCAN_TUPLES", 1000)
+        with pytest.raises(P.SizeLimitError):
+            P.verify_associativity(mutated)
+        report = P.verify_nary_group(P.NaryGroup(3, 6, table=table))
+        assert report.method == "scan" and report.to_dict() == want
 
     def test_changed_twist_cell_falls_back_to_the_scan(self):
         # b' still gives a valid decomposition, one that differs in every cell
@@ -505,6 +491,102 @@ class TestDifferenceSet:
         report = P.verify_nary_group(garbage)
         assert report == P.verify_associativity(garbage).merge(P.verify_quasigroup(garbage))
         assert not report.passed
+
+
+def _ternary(m, fn):
+    """The (m, m, m) table of ``fn(x, y, z) mod m``."""
+    x = np.arange(m)
+    return fn(x[:, None, None], x[:, None], x) % m
+
+
+def _xor_4ary():
+    """w ^ gray(x) ^ swap(y) ^ z ^ 1 on 2-bit labels: anchor 0 reads a group Ret_0 with
+    identity 1, the automorphism phi = gray and b = 2, but phi(b) = 3."""
+    x = np.arange(4)
+    gray, swap = x ^ (x >> 1), ((x & 1) << 1) | (x >> 1)
+    return x[:, None, None, None] ^ gray[:, None, None] ^ swap[:, None] ^ x ^ 1
+
+
+def _toggled_subcube(m):
+    """x - y + z mod m (phi = -x, phi^2 = 1) with the Latin subcube {1, 1 + m/2}^3 toggled:
+    still Latin, and off the cells anchor 0 reads."""
+    table, h = _ternary(m, lambda x, y, z: x - y + z), m // 2
+    cells = np.ix_(*[[1, 1 + h]] * 3)
+    table[cells] = (table[cells] + h) % m
+    return table
+
+
+class TestExactFailureReports:
+    """A rejected table past the scans gets the certificate's exact failure, never a sample."""
+
+    def test_random_table_reports_the_first_failing_line_at_each_place(self):
+        table = np.random.default_rng(3).integers(0, 32, size=(32,) * 3)
+        report = P.verify_nary_group(P.NaryGroup(3, 32, table=table))
+        assert report.method == "certificate" and report.to_dict()["sampled"] is False
+        assert list(report.failures) == oracle.solvability_lines(table)
+        assert report.checked == 3 * 32 ** 3
+
+    def test_non_associative_retract_is_a_table_witness(self):
+        # x - y - z is Latin; its retract x - y is not associative
+        table = _ternary(32, lambda x, y, z: x - y - z)
+        report = P.verify_nary_group(P.NaryGroup(3, 32, table=table))
+        assert report.method == "certificate" and len(report.failures) == 1
+        axiom, witness = report.first()
+        assert axiom == "associativity(i=1,j=3)" and oracle.witness_breaks(table, axiom, witness)
+        assert report.checked == 3 * 32 ** 3 + 32 ** 3
+
+    def test_phi_no_automorphism_is_a_table_witness(self):
+        # x1 + psi(x2) + x3 with psi a permutation that fixes 0 and is no automorphism
+        psi = np.r_[0, np.random.default_rng(4).permutation(np.arange(1, 32))]
+        assert not P.is_automorphism(P.cyclic_group(32), psi)
+        table = _ternary(32, lambda x, y, z: x + psi[y] + z)
+        report = P.verify_nary_group(P.NaryGroup(3, 32, table=table))
+        assert report.method == "certificate" and len(report.failures) == 1
+        axiom, witness = report.first()
+        assert axiom in ("associativity(i=1,j=2)", "associativity(i=1,j=3)")
+        assert oracle.witness_breaks(table, axiom, witness)
+
+    def test_every_residual_branch_gives_genuine_witnesses(self, s3t, z4m, monkeypatch):
+        # with no scan and no difference search, every rejected table is
+        # answered by its failing lines or by the failed certificate step;
+        # the lines are sorted one x1 slice at a time
+        monkeypatch.setattr(core, "_SCAN_TUPLES", 0)
+        monkeypatch.setattr(core, "_CHUNK_CELLS", 1)
+        mutations = 0
+        for group in (s3t, z4m):
+            for cell, table, mutated in oracle.single_cell_mutations(group):
+                report = P.verify_nary_group(mutated)
+                assert report.method == "certificate", cell
+                assert list(report.failures) == oracle.solvability_lines(table), cell
+                mutations += 1
+        assert mutations == 6 ** 3 * 5 + 4 ** 3 * 3
+        branches = [
+            ("associativity(i=1,j=3)", _ternary(5, lambda x, y, z: x - y - z)),
+            ("associativity(i=1,j=2)", _ternary(5, lambda x, y, z: x + np.array([0, 2, 1, 3, 4])[y] + z)),
+            ("hosszu-gluskin(phi-fixes-b)", _xor_4ary()),
+            ("hosszu-gluskin(phi-power)", _ternary(5, lambda x, y, z: x + 2 * y + z)),
+            ("hosszu-gluskin(rebuild)", _toggled_subcube(8)),
+        ]
+        for axiom, table in branches:
+            report = P.verify_nary_group(P.NaryGroup(table.ndim, len(table), table=table))
+            assert report.method == "certificate" and len(report.failures) == 1, axiom
+            assert report.first().axiom == axiom
+            assert oracle.witness_breaks(table, *report.first()), axiom
+
+    def test_hosszu_gluskin_witness_without_the_patch(self):
+        # x + 2y + z mod 27: Latin, no anchor decomposes, phi^2 = 4x is not the identity
+        table = _ternary(27, lambda x, y, z: x + 2 * y + z)
+        report = P.verify_nary_group(P.NaryGroup(3, 27, table=table))
+        assert report == P.VerificationReport.certificate(
+            [("hosszu-gluskin(phi-power)", (1,))], checked=3 * 27 ** 3 + 27 ** 3 + 27 ** 2 + 28)
+        assert oracle.hosszu_gluskin_breaks(table, *report.first())
+
+    def test_random_order_128_table_reports_within_a_second(self):
+        table = np.random.default_rng(5).integers(0, 128, size=(128,) * 3)
+        start = time.perf_counter()
+        report = P.NaryGroup(3, 128, table=table).report
+        assert time.perf_counter() - start < 1.0
+        assert not report.passed and report.method == "certificate"
 
 
 class TestSkew:
@@ -571,9 +653,9 @@ class TestSkew:
 
 class TestPredicates:
     def test_nary_identity(self, t2, t2b, s3t):
-        assert P.has_nary_identity(t2) == 0
-        assert P.has_nary_identity(t2b) is None
-        assert P.has_nary_identity(s3t) == 0
+        assert oracle.has_nary_identity(t2) == 0
+        assert oracle.has_nary_identity(t2b) is None
+        assert oracle.has_nary_identity(s3t) == 0
 
     def test_semiabelian(self, fixtures):
         expected = {"T2": True, "T2b": True, "Z4M": True, "Q4": True, "S3T": False}
@@ -583,7 +665,7 @@ class TestPredicates:
     def test_semiabelian_implies_medial(self, fixtures):
         for name, group in fixtures.items():
             if P.is_semiabelian(group):
-                assert P.is_medial(group), name
+                assert oracle.medial_grid_scan(group), name
 
     def test_b_derived_semiabelian_iff_abelian_base(self):
         assert P.is_semiabelian(P.b_derived(P.cyclic_group(4), 2, 3))
@@ -603,7 +685,6 @@ class TestPredicates:
         for name, group in list(fixtures.items()) + hg_stock_60:
             verdict = P.is_semiabelian(group)
             assert verdict == oracle.semiabelian_scan(group), name
-            assert P.is_medial(group) == verdict, name
             for a in range(group.order):   # every retract is abelian or none is
                 ret = P.retract_table(group, a)
                 assert np.array_equal(ret, ret.T) == verdict, (name, a)
@@ -617,22 +698,22 @@ class TestPredicates:
         assert refuted > 0
 
     def test_medial_above_dense_limit(self):
-        # derived(Z4^3, n=6) has 2^36 cells; the answer needs only its retract
+        # derived(Z4^3, n=6) has 2^36 cells; the answer, medial iff semiabelian
+        # (Głazek and Gleichgewicht), needs only its retract
         z4 = P.cyclic_group(4)
         group = P.derived(P.direct_product(z4, P.direct_product(z4, z4)), 6)
-        assert P.is_medial(group) and P.is_semiabelian(group)
-        assert not P.is_medial(P.derived(P.direct_product(z4, P.quaternion_group()), 6))
+        assert P.is_semiabelian(group)
+        assert not P.is_semiabelian(P.derived(P.direct_product(z4, P.quaternion_group()), 6))
 
     def test_budget_environment_ignored(self, fixtures, monkeypatch):
-        want = [(P.is_semiabelian(g), P.is_medial(g)) for g in fixtures.values()]
+        want = [P.is_semiabelian(g) for g in fixtures.values()]
         monkeypatch.setenv("POLYAD_BUDGET", "1")
-        assert [(P.is_semiabelian(g), P.is_medial(g)) for g in fixtures.values()] == want
+        assert [P.is_semiabelian(g) for g in fixtures.values()] == want
 
     def test_unverified_input_rejected(self):
         broken = P.NaryGroup(3, 2, table=np.zeros((2, 2, 2), dtype=int))
-        for predicate in (P.is_semiabelian, P.is_medial):
-            with pytest.raises(P.InvalidGroupError):
-                predicate(broken)
+        with pytest.raises(P.InvalidGroupError):
+            P.is_semiabelian(broken)
 
 
 class TestConstruction:

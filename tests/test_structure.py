@@ -5,8 +5,8 @@ import pytest
 import polyadic as P
 from conftest import (A3, TRANSPOSITIONS, binary_catalog, d8_z4, derived_corpus,
                       large_corpus, z2_4_ternary)
-from oracle import (closed_by_grid, cosets_by_loops, first_skew_outside, is_normal_by_eval,
-                    normal_subgroups_by_blocks, normal_subgroups_by_enumeration,
+from oracle import (closed_by_grid, cosets_by_loops, first_skew_outside, has_nary_identity,
+                    is_normal_by_eval, normal_subgroups_by_blocks, normal_subgroups_by_enumeration,
                     powerset_subgroups, scan_verdict, subgroups_by_closure)
 
 
@@ -196,13 +196,13 @@ class TestQuotient:
         quot = P.quotient(s3t, A3)
         assert quot.group.order == 2
         assert quot.identity_block == 0
-        assert P.has_nary_identity(quot.group) == 0
+        assert has_nary_identity(quot.group) == 0
         assert quot.retract_group().order == 2
 
     def test_z4m_mod_02_reducible(self, z4m):
         quot = P.quotient(z4m, (0, 2))
         assert quot.group.order == 2
-        assert P.has_nary_identity(quot.group) is not None
+        assert has_nary_identity(quot.group) is not None
 
     def test_non_normal_rejected(self, s3t):
         with pytest.raises(P.InvalidGroupError, match="normal"):
