@@ -13,8 +13,9 @@ The certificate decides the axioms exactly: a table is an n-ary group iff it
 equals ``x1 phi(x2) ... phi^(n-1)(xn) b`` for a valid decomposition, which
 costs O(n m^n + m^3) to check, so passing verdicts are never sampled.  The
 table is compared in block rows with the block product ``right[left]`` of
-:func:`_hg_blocks`; one equal to it holds only element indices, so entries
-are range-checked only once the certificate fails, before any report.
+:func:`_hg_blocks`; cells equal to it are element indices, so a rejected
+table is range-checked only in the blocks that differ, or whole, once, when
+anchor 0 does not decompose, before any report.
 
 A rejected table gets an exact report, never a sample.  Mostly it is the
 exhaustive scan's: the lexicographically first witness of each violated
@@ -94,10 +95,6 @@ class NaryGroup:
                 if not (isinstance(table, np.ndarray) and np.may_share_memory(arr, table)):
                     self._table = arr   # built here from a list or a cast: no caller holds it
             else:
-                # a table equal to the rebuild holds only indices; as uint64 a
-                # negative entry is huge, so one max() catches both ends
-                if arr.view(np.uint64).max() >= m:
-                    raise InvalidGroupError("table entries must be element indices")
                 self._rejected = arr
                 report = _difference_report(arr, certified)
                 self.report = report if report is not None else _witness_report(self, certified)
@@ -189,8 +186,9 @@ class NaryGroup:
         the dense file writer and ``subgroup_closure``.
         """
         if self._table is None:
+            if not within_dense_limit(self.order, self.arity):   # refused before n axes multiply out
+                raise SizeLimitError(f"evaluation limited to {DENSE_LIMIT} values at once")
             shape = (self.order,) * self.arity
-            _require_small(shape)
             left, right = _hg_blocks(self.hg, _block_split(self.order, self.arity))
             self._table = right.take(left, axis=0).reshape(shape)
         return self._table
@@ -415,6 +413,15 @@ def _hg_blocks(data: HGData, k: int) -> tuple[np.ndarray, np.ndarray]:
     return left, g[:, tail]
 
 
+def _require_indices(cells: np.ndarray, m: int) -> None:
+    """Raise :class:`InvalidGroupError` unless every int64 entry of ``cells`` is in [0, m).
+
+    As uint64 a negative entry is huge, so one max() catches both ends.
+    """
+    if cells.view(np.uint64).max() >= m:
+        raise InvalidGroupError("table entries must be element indices")
+
+
 def _mismatches(table: np.ndarray, data: HGData) -> Iterator[np.ndarray]:
     """Yield the flat indices of the cells that differ from the rebuild, one array per block.
 
@@ -422,13 +429,17 @@ def _mismatches(table: np.ndarray, data: HGData) -> Iterator[np.ndarray]:
     ``right[left]``, ``_COMPARE_CELLS`` at a time.  ``right`` is uint8, which
     holds every index of a dense table (n >= 3, m^n <= 2^24 give m <= 256);
     the table is read as given, never cast, so an entry 256 + v differs from v.
+    A cell equal to the rebuild is an element index, so only a block that
+    differs is range-checked, before its indices are yielded.
     """
-    left, right = _hg_blocks(data, _block_split(table.shape[0], table.ndim))
+    m = table.shape[0]
+    left, right = _hg_blocks(data, _block_split(m, table.ndim))
     right, step = right.astype(np.uint8), max(1, _COMPARE_CELLS // right.shape[1])
     given = table.reshape(len(left), right.shape[1])
     for lo in range(0, len(left), step):
         block, rebuilt = given[lo:lo + step], right.take(left[lo:lo + step], axis=0)
         if not np.array_equal(block, rebuilt):
+            _require_indices(block, m)
             yield lo * right.shape[1] + np.flatnonzero(block != rebuilt)
 
 
@@ -440,8 +451,10 @@ def _certify_dense(table: np.ndarray) -> HGData | _Rejection:
     conditions, and the table must equal ``x1 phi(x2) ... phi^(n-1)(xn) b``
     cell by cell, compared in block rows by :func:`_mismatches`.  Every n-ary
     group passes all four steps, and any table that does is an n-ary group,
-    so a passing table holds only element indices: the constructor's range
-    check runs only on a rejected table.
+    so a passing table holds only element indices and is never range-checked.
+    A rejected one is checked where it differs from the rebuild
+    (:func:`_mismatches`), or whole by the anchor sweep of
+    :func:`_difference_report`, before any report.
     """
     abar, data = _decompose(table, 0)
     if data is None:
@@ -456,15 +469,17 @@ def _certify_dense(table: np.ndarray) -> HGData | _Rejection:
 def _difference_set(shape: tuple[int, ...], flats, limit: int) -> np.ndarray | None:
     """The cells of the flat indices ``flats`` of :func:`_mismatches`, unravelled over ``shape``.
 
-    Returned as a (|D|, n) array in lexicographic order, or None as soon as
-    there are more than ``limit`` of them.
+    Returned as a (|D|, n) array in lexicographic order, or None when there
+    are more than ``limit`` of them.  ``flats`` is drained to the end either
+    way, so every differing block has been range-checked before any report.
     """
     found, count = [], 0
     for flat in flats:
         count += flat.size
-        if count > limit:
-            return None
-        found.append(flat)
+        if count <= limit:
+            found.append(flat)
+    if count > limit:
+        return None
     flat = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
     return np.stack(np.unravel_index(flat, shape), axis=1)
 
@@ -484,24 +499,37 @@ def _difference_report(table: np.ndarray, rejection: _Rejection) -> Verification
     on the real table, and is left as soon as each axiom (k, j) has its
     first failure or cannot improve on the best one found.  Lines that avoid
     D are lines of G, hence permutations, so the first failing line through D
-    at each place is the scan's solvability witness.
+    at each place is the scan's solvability witness; each place's lines
+    through D are one gather.
 
     Every evaluated tuple, and m per line, is charged to ``_SCAN_TUPLES``,
     capped at the m^(2n-1) tuples of the scan the search stands in for.
     Since each of the 2n |D| families may cost its first chunk, D may hold at most
-    cap / (2n * first chunk) cells.  Returns None when no anchor decomposes, D
-    is empty or larger than that, or the search would exceed the cap; the
-    caller then falls back to :func:`_witness_report`.
+    limit = cap / (2n * first chunk) cells.  The lines cost at most n |D| m
+    <= cap / 2, since a dense table has m <= 256 and m <= m^(n-1), so only
+    the families can reach the cap.  Returns None when no anchor decomposes,
+    D is empty or larger than ``limit``, or the search would exceed the cap;
+    the caller then falls back to :func:`_witness_report`.
+
+    A table whose anchor 0 does not decompose is range-checked whole before
+    the sweep over the other anchors reads it; otherwise the cells that
+    differ from anchor 0's rebuild are (:func:`_mismatches`).
     """
     m, n = table.shape[0], table.ndim
     cap = min(_SCAN_TUPLES, m ** (2 * n - 1))
     limit = cap // (2 * n * min(_FIRST_ROWS, m ** (n - 1)))
     data, flats = rejection.data, rejection.flats   # compared up to the mismatch's block
     if data is None:
+        _require_indices(table, m)
         for a in range(1, m):
-            data = _decompose(table, a)[1]
-            if data is not None:
-                break
+            ret = table[(slice(None),) + (a,) * (n - 2) + (slice(None),)]
+            top = ret[:2]
+            # a group retract has (x.y).z = x.(y.z) for x, z in {0, 1}, 4m cells; two of
+            # each, as the row of a left identity and the column of a right one pass trivially
+            if np.array_equal(ret[top, :2], top[:, ret[:, :2]]):
+                data = _decompose(table, a)[1]
+                if data is not None:
+                    break
         else:
             return None
         flats = _mismatches(table, data)
@@ -512,18 +540,19 @@ def _difference_report(table: np.ndarray, rejection: _Rejection) -> Verification
     spent, want = 0, np.arange(m)
     solvability = []
     for place in range(n):
-        lines = np.moveaxis(table, place, -1)
-        for fixed in np.unique(np.delete(cells, place, axis=1), axis=0):
-            spent += m
-            if spent > cap:
-                return None
-            if not np.array_equal(np.sort(lines[tuple(fixed)]), want):
-                solvability.append((f"solvability(place={place + 1})", tuple(fixed)))
-                break
+        # the lines through D, one per cell, keyed by their fixed arguments in lexicographic order
+        lines = table[tuple(want if j == place else cells[:, j, None] for j in range(n))]
+        keys = np.ravel_multi_index(np.delete(cells, place, axis=1).T, (m,) * (n - 1))
+        bad, distinct = keys[(np.sort(lines, axis=1) != want).any(axis=1)], np.unique(keys)
+        first = bad.min() if bad.size else distinct[-1]
+        spent += m * int(np.count_nonzero(distinct <= first))   # m per line, up to the first failing
+        if bad.size:
+            solvability.append((f"solvability(place={place + 1})",
+                                np.unravel_index(first, (m,) * (n - 1))))
 
     ev = _gather(table)
-    left, tail = _hg_blocks(data, 1)
-    solve = np.argsort(tail, axis=1)      # tail[p, solve[p, v]] == v
+    g, pows = data.group.table, data.phi_powers
+    solve = np.argsort(g[:, g[pows[n - 1], data.b]], axis=1)   # v phi^(n-1)(solve[v, w]) b == w
 
     def rows(k: int, d: np.ndarray, outer: bool, idx: np.ndarray) -> np.ndarray:
         """The tuples at free index ``idx`` of the families (k, outer) through ``d``."""
@@ -531,7 +560,10 @@ def _difference_report(table: np.ndarray, rejection: _Rejection) -> Verification
         d = np.broadcast_to(d, (len(idx), n))
         if not outer:
             return np.concatenate((free[:, :k - 1], d, free[:, k - 1:]), axis=1)
-        last = solve[left[idx], d[:, k - 1]]
+        prefix = free[:, 0]   # x1 phi(x2) ... phi^(n-2)(x(n-1))
+        for j in range(1, n - 1):
+            prefix = g[prefix, pows[j][free[:, j]]]
+        last = solve[prefix, d[:, k - 1]]
         return np.concatenate((d[:, :k - 1], free, last[:, None], d[:, k:]), axis=1)
 
     # Families in the order of their first tuples: once every axiom has a

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,15 @@ class TestAboveDenseLimit:
         assert group(*[np.arange(3)] * 70).tolist() == [0, 1, 2]   # 70 x = x mod 3
         with pytest.raises(P.SizeLimitError):
             group.dense()
+
+    def test_dense_refused_without_multiplying_out_the_arity(self):
+        group = P.derived(P.symmetric_group_3(), 10 ** 6)
+        for call in (group.dense, lambda: P.is_central(group, 0),
+                     lambda: P.central_elements(group)):
+            start = time.perf_counter()
+            with pytest.raises(P.SizeLimitError):
+                call()
+            assert time.perf_counter() - start < 0.5
 
 
 class TestEvalLong:
@@ -401,33 +411,64 @@ def _mutate(table, cells, rng):
     return out
 
 
+def _multi_cell_mutations(s3t, z4m, hg_stock):
+    """(name, group, cells, table): seeded tables with two to five cells changed."""
+    rng = np.random.default_rng(17)
+    groups = [("S3T", s3t, 10), ("Z4M", z4m, 10)]
+    groups += [(name, g, 2) for name, g in hg_stock if g.order > 2]
+    for name, group, tables in groups:
+        table = group.dense()
+        for _ in range(tables):
+            count = int(rng.integers(2, 6))
+            flat = rng.choice(table.size, size=count, replace=False)
+            cells = [np.unravel_index(int(f), table.shape) for f in flat]
+            yield name, group, cells, _mutate(table, cells, rng)
+
+
 class TestDifferenceSet:
     """Failure witnesses searched for through the cells that leave a decomposition."""
 
     def test_multi_cell_mutations_match_the_scan(self, s3t, z4m, hg_stock):
-        rng = np.random.default_rng(17)
-        groups = [("S3T", s3t, 10), ("Z4M", z4m, 10)]
-        groups += [(name, g, 2) for name, g in hg_stock if g.order > 2]
         searched = failing = 0
-        for name, group, tables in groups:
-            table = group.dense()
-            for _ in range(tables):
-                count = int(rng.integers(2, 6))
-                flat = rng.choice(table.size, size=count, replace=False)
-                cells = [np.unravel_index(int(f), table.shape) for f in flat]
-                changed = _mutate(table, cells, rng)
-                mutated = P.NaryGroup(group.arity, group.order, table=changed)
-                report = P.verify_nary_group(mutated)
-                if report.passed:
-                    continue
-                scan = oracle.exhaustive_scan(mutated)
-                assert report.to_dict() == scan.to_dict(), (name, cells)
-                direct = core._difference_report(changed, core._certify_dense(changed))
-                if direct is not None:
-                    assert direct == scan, (name, cells)
-                    searched += 1
-                failing += 1
+        for name, group, cells, changed in _multi_cell_mutations(s3t, z4m, hg_stock):
+            mutated = P.NaryGroup(group.arity, group.order, table=changed)
+            report = P.verify_nary_group(mutated)
+            if report.passed:
+                continue
+            scan = oracle.exhaustive_scan(mutated)
+            assert report.to_dict() == scan.to_dict(), (name, cells)
+            direct = core._difference_report(changed, core._certify_dense(changed))
+            if direct is not None:
+                assert direct == scan, (name, cells)
+                searched += 1
+            failing += 1
         assert searched * 10 >= failing * 9
+
+    def test_solvability_witnesses_equal_the_line_oracle(self, s3t, z4m, hg_stock):
+        searched = 0
+        for name, _, cells, changed in _multi_cell_mutations(s3t, z4m, hg_stock):
+            direct = core._difference_report(changed, core._certify_dense(changed))
+            if direct is None:
+                continue
+            lines = [(f.axiom, f.witness) for f in direct.failures
+                     if f.axiom.startswith("solvability")]
+            assert lines == oracle.solvability_lines(changed), (name, cells)
+            searched += 1
+        assert searched > 30
+
+    def test_sweep_skips_non_associative_retracts_cheaply(self, monkeypatch):
+        # (x o y) o z with x o y = sigma(x) + y: Latin, and no anchor decomposes
+        m = 256
+        sigma = np.random.default_rng(3).permutation(m)
+        table = _ternary(m, lambda x, y, z: sigma[(sigma[x] + y) % m] + z)
+        built, binary_group = [], core.BinaryGroup
+        monkeypatch.setattr(core, "BinaryGroup",
+                            lambda *args: built.append(args) or binary_group(*args))
+        report = P.NaryGroup(3, m, table=table).report
+        assert len(built) == 1   # anchor 0's, for the certificate; the sweep builds none
+        assert report == P.VerificationReport.certificate(
+            [("associativity(i=1,j=3)", (0, 0, 0, 0, 0))], checked=4 * m ** 3)
+        assert oracle.witness_breaks(table, *report.first())
 
     def test_block_rows_agree_with_the_slices(self, monkeypatch):
         # derived(Q8, 6) has 2^18 cells, compared in 4 blocks of 2^16: changed
@@ -716,7 +757,25 @@ class TestPredicates:
             P.is_semiabelian(broken)
 
 
+def _add_one(table, flats):
+    """Copy of the order-8 ``table`` with the cells at ``flats`` changed to v + 1 mod 8."""
+    out = table.copy()
+    out.flat[flats] = (out.flat[flats] + 1) % 8
+    return out
+
+
+def _with_last(table, value):
+    out = table.copy()
+    out.flat[-1] = value
+    return out
+
+
 class TestConstruction:
+    @pytest.fixture(scope="class")
+    def q8_6(self):
+        """derived(Q8, 6): 2^18 cells, compared and range-checked in 4 blocks of 2^16."""
+        return P.derived(P.quaternion_group(), 6)
+
     def test_table_length_checked(self):
         with pytest.raises(P.InvalidGroupError, match="entries"):
             P.NaryGroup(3, 2, table=[0, 1, 1])
@@ -747,6 +806,52 @@ class TestConstruction:
                     changed[cell] = bad
                     with pytest.raises(P.InvalidGroupError, match="indices"):
                         P.NaryGroup(n, m, table=changed)
+
+    def test_bad_entry_in_a_later_block_raises(self, q8_6):
+        table = q8_6.dense()
+        changed = _add_one(table, [1000])   # in range, in block 0
+        assert core._decompose(changed, 0)[1] is not None
+        for bad in (8, -1, 256 + int(table.flat[-1])):
+            with pytest.raises(P.InvalidGroupError, match="indices"):
+                P.NaryGroup(6, 8, table=_with_last(changed, bad))
+
+    def test_bad_entry_past_the_difference_limit_raises(self, q8_6):
+        # block 1 changed whole, and without anchor 0's retract cells, so that
+        # anchor 0 decomposes and D passes the limit before block 3 is read
+        table, block = q8_6.dense(), core._COMPARE_CELLS
+        retract = [np.ravel_multi_index((x, 0, 0, 0, 0, y), table.shape)
+                   for x in range(8) for y in range(8)]
+        whole = _add_one(table, np.arange(block, 2 * block))
+        spared = _add_one(table, np.setdiff1d(np.arange(block, 2 * block), retract))
+        assert core._decompose(whole, 0)[1] is None
+        assert core._decompose(spared, 0)[1] is not None
+        limit = core._SCAN_TUPLES // (2 * 6 * core._FIRST_ROWS)
+        assert len(core._difference_set(table.shape, core._mismatches(spared, q8_6.hg),
+                                        table.size)) > limit
+        for changed in (whole, spared):
+            for bad in (8, -1, 256 + int(table.flat[-1])):
+                with pytest.raises(P.InvalidGroupError, match="indices"):
+                    P.NaryGroup(6, 8, table=_with_last(changed, bad))
+
+    def test_only_differing_blocks_are_range_checked(self, q8_6, monkeypatch):
+        read, check = [], core._require_indices
+        monkeypatch.setattr(core, "_require_indices",
+                            lambda cells, m: read.append(cells.size) or check(cells, m))
+        changed = _add_one(q8_6.dense(), [70000])
+        assert core._decompose(changed, 0)[1] is not None
+        assert P.NaryGroup(6, 8, table=changed).report.method == "scan"
+        assert read == [core._COMPARE_CELLS]
+
+    def test_failure_report_builds_no_prefix_table(self, q8_6):
+        # x1 phi(x2) ... phi^4(x5) over all 8^5 tuples would be 256 KiB of int64
+        changed = _add_one(q8_6.dense(), [70000])
+        tracemalloc.start()
+        try:
+            report = P.NaryGroup(6, 8, table=changed).report
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.method == "scan" and peak < 8 * 8 ** 5
 
     def test_labels_length(self, t2):
         with pytest.raises(P.InvalidGroupError, match="label"):
